@@ -7,7 +7,6 @@ exhaustive oracle for small graphs.
 
 from .certificate import (
     BoxCertificate,
-    box_assignment,
     box_cograph_failure,
     certify_non_colourable,
     find_box_cograph,
@@ -18,8 +17,6 @@ from .cotree import (
     CotreeNode,
     NotACographError,
     P4Witness,
-    Pseudocotree,
-    binarize,
     build_cotree,
     check_cotree,
     complement_cotree,

@@ -1,27 +1,19 @@
-"""Top-down extraction of induced box-cograph obstructions.
+"""Induced box-cograph obstructions.
 
 A cograph fails to be (k-1,l-1)-colourable exactly when it contains an
-induced box cograph of dimension k times l.  The extractor pushes a constant
-demand [r]^s from the root towards the leaves, splitting the multiplicity at
-0-nodes and the value at 1-nodes; leaves left with demand (1) form the
-certificate.
+induced box cograph of dimension k times l.  Such a certificate, like an
+explicit colouring, is read off the Ferrers diagram representation: the top
+k cells of its leftmost l columns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
-from .cotree import Cotree, CotreeNode, P4Witness, build_cotree
+from .cotree import Cotree, P4Witness, build_cotree
 from .graphs import Graph, VertexSet, induced_subgraph
-from .sequences import (
-    KLColouring,
-    PartitionSequence,
-    extract_colouring,
-    is_kl_colourable,
-    kappa_hat_annotated,
-)
+from .sequences import KLColouring, PartitionSequence
 
 
 @dataclass(frozen=True)
@@ -33,82 +25,20 @@ class BoxCertificate:
     l: int
 
     def __post_init__(self) -> None:
+        if self.k < 1 or self.l < 1:
+            raise ValueError("certificate dimensions must be at least 1 times 1")
         if len(self.vertices) != self.k * self.l:
             raise ValueError(
                 f"certificate has {len(self.vertices)} vertices, expected {self.k * self.l}"
             )
 
 
-def _entries_at_least(seq: PartitionSequence, r: int) -> int:
-    """Number of entries >= r in a non-increasing sequence."""
-    return bisect_right(seq.entries, -r, key=lambda e: -e)
-
-
-def box_assignment(
-    t: Cotree,
-    k: int,
-    l: int,
-    annotations: dict[CotreeNode, PartitionSequence] | None = None,
-) -> dict[CotreeNode, tuple[int, int]]:
-    """Per-node demand (r, s), meaning the constant sequence of s entries r.
-
-    Pruned subtrees (empty demand) are absent from the result.  Ties are
-    broken greedily: each child in canonical order takes the largest
-    feasible share.
-    """
-    if k < 1 or l < 1:
-        raise ValueError("certificate dimensions must be at least 1 times 1")
-    if annotations is None:
-        _, annotations = kappa_hat_annotated(t)
-    root_seq = annotations[t.root]
-    if not (l - 1 < len(root_seq) and root_seq[l - 1] >= k):
-        raise ValueError(
-            f"graph is ({k - 1},{l - 1})-colourable; no {k}x{l} box cograph exists"
-        )
-    demand: dict[CotreeNode, tuple[int, int]] = {t.root: (k, l)}
-    stack = [t.root]
-    while stack:
-        node = stack.pop()
-        r, s = demand[node]
-        if node.is_leaf:
-            continue
-        if node.label == 0:
-            remaining = s
-            for child in node.children:
-                cap = _entries_at_least(annotations[child], r)
-                share = min(remaining, cap)
-                remaining -= share
-                if share:
-                    demand[child] = (r, share)
-                    stack.append(child)
-            assert remaining == 0, "0-node demand could not be split"
-        else:
-            remaining = r
-            for child in node.children:
-                seq = annotations[child]
-                cap = seq[s - 1] if s - 1 < len(seq) else 0
-                share = min(remaining, cap)
-                remaining -= share
-                if share:
-                    demand[child] = (share, s)
-                    stack.append(child)
-            assert remaining == 0, "1-node demand could not be split"
-    return demand
-
-
-def find_box_cograph(
-    t: Cotree,
-    k: int,
-    l: int,
-    annotations: dict[CotreeNode, PartitionSequence] | None = None,
-) -> BoxCertificate:
+def find_box_cograph(t: Cotree, k: int, l: int) -> BoxCertificate:
     """Induced box cograph of dimension k times l; requires that the graph is
     not (k-1,l-1)-colourable."""
-    demand = box_assignment(t, k, l, annotations)
-    selected = frozenset(
-        node.vertex for node, (r, s) in demand.items() if node.is_leaf
-    )
-    return BoxCertificate(selected, k, l)
+    from .ferrers import build_ferrers, read_obstruction
+
+    return read_obstruction(build_ferrers(t), k - 1, l - 1)
 
 
 def box_cograph_failure(g: Graph, cert: BoxCertificate) -> str | None:
@@ -136,8 +66,19 @@ def verify_box_cograph(g: Graph, cert: BoxCertificate) -> bool:
 def certify_non_colourable(
     t: Cotree, k: int, l: int
 ) -> Union[KLColouring, BoxCertificate]:
-    """Either an explicit (k,l)-colouring or a (k+1)x(l+1) obstruction."""
-    root_seq, annotations = kappa_hat_annotated(t)
-    if is_kl_colourable(root_seq, k, l):
-        return extract_colouring(t, k, l)
-    return find_box_cograph(t, k + 1, l + 1, annotations)
+    """Either an explicit (k,l)-colouring or a (k+1)x(l+1) obstruction, both
+    read off one Ferrers diagram."""
+    from .ferrers import (
+        _require_natural,
+        build_ferrers,
+        read_colouring,
+        read_obstruction,
+    )
+
+    _require_natural(k, l)
+    f = build_ferrers(t)
+    # row k holds one cell per column taller than k
+    tall = len(f.rows[k]) if k < len(f.rows) else 0
+    if tall <= l:
+        return read_colouring(f, k, l)
+    return read_obstruction(f, k, l)

@@ -14,7 +14,7 @@ import sys
 import time
 from typing import Sequence
 
-from .certificate import BoxCertificate, certify_non_colourable
+from .certificate import BoxCertificate, certify_non_colourable, find_box_cograph
 from .cotree import (
     Cotree,
     P4Witness,
@@ -143,9 +143,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if is_kl_colourable(kappa_hat(t), args.k, args.l):
         print(json.dumps({"colourable": True, "k": args.k, "l": args.l}))
         return EXIT_OK
-    result = certify_non_colourable(t, args.k, args.l)
-    assert isinstance(result, BoxCertificate)
-    print(_cert_payload(g, result))
+    print(_cert_payload(g, find_box_cograph(t, args.k + 1, args.l + 1)))
     return EXIT_NEGATIVE
 
 
@@ -217,6 +215,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klcograph",
@@ -240,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"print the {name} sequence")
         add_input(p)
         mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--fast", action="store_true", default=True)
         mode.add_argument("--naive", action="store_true")
         mode.add_argument(
             "--oracle", action="store_true",
@@ -251,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide (k,l)-colourability")
     add_input(p)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", type=int, required=True)
+    p.add_argument("-k", type=_natural, required=True)
+    p.add_argument("-l", type=_natural, required=True)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("certify", help="colouring or box-cograph certificate")
     add_input(p)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", type=int, required=True)
+    p.add_argument("-k", type=_natural, required=True)
+    p.add_argument("-l", type=_natural, required=True)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("ferrers", help="Ferrers diagram representation")

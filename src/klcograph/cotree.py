@@ -1,4 +1,4 @@
-"""Cograph recognition, cotrees, pseudocotrees and P4 witnesses.
+"""Cograph recognition, cotrees and P4 witnesses.
 
 Construction recurses on connected components of the graph (0-nodes) or of
 its complement (1-nodes); complement components are found without
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
-from typing import Iterable, Iterator, Union
+from typing import Iterator
 
 from .graphs import Graph, induced_subgraph
 
@@ -46,7 +46,7 @@ class P4Witness:
 
 
 class CotreeNode:
-    """Node of a (pseudo)cotree.  Leaves carry a vertex id, internal nodes a 0/1 label."""
+    """Node of a cotree.  Leaves carry a vertex id, internal nodes a 0/1 label."""
 
     __slots__ = ("label", "vertex", "children", "size")
 
@@ -81,21 +81,6 @@ class Cotree:
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-
-@dataclass(frozen=True)
-class Pseudocotree:
-    """Binary variant of a cotree; labels may repeat along a root path."""
-
-    root: CotreeNode
-    n: int
-    labels: tuple[str, ...] | None = None
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
-
-AnyCotree = Union[Cotree, Pseudocotree]
 
 
 def postorder(root: CotreeNode) -> Iterator[CotreeNode]:
@@ -203,7 +188,8 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
                 label = 1
             else:
                 witness = _p4_in_subset(g, vertices)
-                assert witness.holds_in(g)
+                if not witness.holds_in(g):
+                    raise RuntimeError("P4 witness does not hold in the graph")
                 return witness
         node = CotreeNode(label=label)
         sink.append(node)
@@ -222,7 +208,7 @@ def _p4_in_subset(g: Graph, vertices: set[int]) -> P4Witness:
     return P4Witness(*(back[v] for v in w.vertices()))
 
 
-def evaluate_cotree(t: AnyCotree) -> Graph:
+def evaluate_cotree(t: Cotree) -> Graph:
     """Graph represented by the tree: u~v iff their lowest common ancestor is a 1-node."""
     edges: list[tuple[int, int]] = []
     leafsets: dict[CotreeNode, list[int]] = {}
@@ -245,27 +231,7 @@ def evaluate_cotree(t: AnyCotree) -> Graph:
     return Graph.from_edges(t.n, edges, t.labels)
 
 
-def binarize(t: AnyCotree) -> Pseudocotree:
-    """Left-deep binary expansion; already-binary nodes are kept as they are.
-
-    The result shares no nodes with the input tree.
-    """
-    built: dict[CotreeNode, CotreeNode] = {}
-    for node in postorder(t.root):
-        if node.is_leaf:
-            built[node] = CotreeNode(vertex=node.vertex)
-            continue
-        kids = [built.pop(c) for c in node.children]
-        acc = kids[0]
-        for kid in kids[1:]:
-            acc = CotreeNode(label=node.label, children=[acc, kid])
-        built[node] = acc
-    root = built[t.root]
-    _fill_sizes(root)
-    return Pseudocotree(root, t.n, t.labels)
-
-
-def complement_cotree(t: AnyCotree) -> AnyCotree:
+def complement_cotree(t: Cotree) -> Cotree:
     """Label-flipped copy: represents the complement graph."""
     built: dict[CotreeNode, CotreeNode] = {}
     for node in postorder(t.root):
@@ -277,12 +243,11 @@ def complement_cotree(t: AnyCotree) -> AnyCotree:
             )
     root = built[t.root]
     _fill_sizes(root)
-    return type(t)(root, t.n, t.labels)
+    return Cotree(root, t.n, t.labels)
 
 
-def check_cotree(t: AnyCotree) -> None:
+def check_cotree(t: Cotree) -> None:
     """Validate structural invariants; raises ValueError on violation."""
-    binary = isinstance(t, Pseudocotree)
     seen: set[int] = set()
     for node in postorder(t.root):
         if node.is_leaf:
@@ -294,12 +259,9 @@ def check_cotree(t: AnyCotree) -> None:
             raise ValueError("internal node without 0/1 label")
         if len(node.children) < 2:
             raise ValueError("internal node with fewer than 2 children")
-        if binary and len(node.children) != 2:
-            raise ValueError("pseudocotree node without exactly 2 children")
-        if not binary:
-            for c in node.children:
-                if not c.is_leaf and c.label == node.label:
-                    raise ValueError("child repeats parent label in a cotree")
+        for c in node.children:
+            if not c.is_leaf and c.label == node.label:
+                raise ValueError("child repeats parent label in a cotree")
     if len(seen) != t.n:
         raise ValueError("leaves do not cover all vertices")
 
@@ -307,7 +269,7 @@ def check_cotree(t: AnyCotree) -> None:
 # --- serialization ---------------------------------------------------------
 
 
-def cotree_to_text(t: AnyCotree) -> str:
+def cotree_to_text(t: Cotree) -> str:
     """Nested parenthesized form, e.g. ``1(0(a,b),c)``."""
     out: dict[CotreeNode, str] = {}
     for node in postorder(t.root):
@@ -319,7 +281,7 @@ def cotree_to_text(t: AnyCotree) -> str:
     return out[t.root]
 
 
-def cotree_to_json(t: AnyCotree) -> str:
+def cotree_to_json(t: Cotree) -> str:
     def encode(node: CotreeNode) -> dict:
         if node.is_leaf:
             return {"vertex": node.vertex, "name": t.label_of(node.vertex)}

@@ -5,10 +5,11 @@ set and every column induces a clique.  Column heights read off the kappa
 sequence, row lengths the lambda sequence.
 
 Two builders: a naive one that re-sorts whole representations at every tree
-node, and a linked-grid one that inserts the smaller child's columns (at
-0-nodes) or rows (at 1-nodes) into the larger child's grid, for O(n log n)
-total work.  Both produce the same grid cell for cell: concatenation order
-is (first child, second child) and sorting by size is stable.
+node, and a linked-grid one that inserts every other child's columns (at
+0-nodes) or rows (at 1-nodes) into the grid of the child with the most
+leaves, for O(n log n) total work.  Both produce the same grid cell for
+cell: concatenation order is the children's order, and sorting by size is
+stable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
 from .certificate import BoxCertificate
-from .cotree import AnyCotree, CotreeNode, Pseudocotree, binarize, postorder
+from .cotree import Cotree, CotreeNode, postorder
 from .graphs import Graph
 from .sequences import (
     KLColouring,
@@ -44,12 +45,14 @@ class FerrersRepresentation:
 
     @property
     def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Columns left to right, each top to bottom; one pass over the cells."""
         if not self.rows:
             return ()
-        return tuple(
-            tuple(row[c] for row in self.rows if len(row) > c)
-            for c in range(len(self.rows[0]))
-        )
+        cols: list[list[int]] = [[] for _ in self.rows[0]]
+        for row in self.rows:
+            for col, v in zip(cols, row):
+                col.append(v)
+        return tuple(tuple(col) for col in cols)
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -66,8 +69,12 @@ def _transpose(lines: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def build_ferrers_naive(t: AnyCotree) -> FerrersRepresentation:
-    """Rebuild the whole representation at every node (quadratic worst case)."""
+def build_ferrers_naive(t: Cotree) -> FerrersRepresentation:
+    """Rebuild the whole representation at every node.
+
+    Cubic worst case: on a deep alternating cotree every 1-node transposes
+    the whole hook built so far, at rows times columns cells.
+    """
     cols: dict[CotreeNode, list[list[int]]] = {}
     for node in postorder(t.root):
         if node.is_leaf:
@@ -257,29 +264,33 @@ def _cross_first_cell(ins_runs: list, walk: str, r: int) -> _Cell:
     return cell
 
 
-def build_ferrers_fast(t: AnyCotree) -> FerrersRepresentation:
-    pt = t if isinstance(t, Pseudocotree) else binarize(t)
+def build_ferrers_fast(t: Cotree) -> FerrersRepresentation:
+    """Linked-grid builder; each node merges its children into the largest one.
+
+    Children before the largest are inserted ahead of it among equal-size
+    lines, nearest first; children after it go behind, in order.
+    """
     grids: dict[CotreeNode, _Grid] = {}
-    for node in postorder(pt.root):
+    for node in postorder(t.root):
         if node.is_leaf:
             grids[node] = _Grid.leaf(node.vertex)
             continue
-        c1, c2 = node.children
-        g1, g2 = grids.pop(c1), grids.pop(c2)
-        if c1.size >= c2.size:
-            _merge_grids(g1, g2, node.label, small_first=False)
-            grids[node] = g1
-        else:
-            _merge_grids(g2, g1, node.label, small_first=True)
-            grids[node] = g2
-    root_grid = grids[pt.root]
+        kids = node.children
+        big = max(range(len(kids)), key=lambda i: kids[i].size)
+        grid = grids.pop(kids[big])
+        for child in reversed(kids[:big]):
+            _merge_grids(grid, grids.pop(child), node.label, small_first=True)
+        for child in kids[big + 1 :]:
+            _merge_grids(grid, grids.pop(child), node.label, small_first=False)
+        grids[node] = grid
     rows = tuple(
-        tuple(cell.v for cell in line) for line in _extract_lines(root_grid, axis=1)
+        tuple(cell.v for cell in line)
+        for line in _extract_lines(grids[t.root], axis=1)
     )
     return FerrersRepresentation(rows, t.labels)
 
 
-def build_ferrers(t: AnyCotree) -> FerrersRepresentation:
+def build_ferrers(t: Cotree) -> FerrersRepresentation:
     """Ferrers diagram representation of the represented cograph."""
     return build_ferrers_fast(t)
 
@@ -308,7 +319,7 @@ def validate_ferrers(g: Graph, f: FerrersRepresentation) -> bool:
     return True
 
 
-def validate_ferrers_against_cotree(t: AnyCotree, f: FerrersRepresentation) -> bool:
+def validate_ferrers_against_cotree(t: Cotree, f: FerrersRepresentation) -> bool:
     """Equivalent validity check driven by the tree instead of the graph.
 
     A row is independent iff no 1-node has that row in two of its subtrees;
@@ -355,8 +366,15 @@ def validate_ferrers_against_cotree(t: AnyCotree, f: FerrersRepresentation) -> b
 # --- read-offs -------------------------------------------------------------
 
 
+def _require_natural(k: int, l: int) -> None:
+    """Raise ValueError unless both colouring parameters are at least 0."""
+    if k < 0 or l < 0:
+        raise ValueError("k and l must be natural numbers")
+
+
 def read_colouring(f: FerrersRepresentation, k: int, l: int) -> KLColouring:
     """Tall columns become clique parts, remaining row segments independent parts."""
+    _require_natural(k, l)
     cols = f.columns
     tall = [c for c in cols if len(c) > k]
     if len(tall) > l:
@@ -378,6 +396,7 @@ def read_colouring(f: FerrersRepresentation, k: int, l: int) -> KLColouring:
 
 def read_obstruction(f: FerrersRepresentation, k: int, l: int) -> BoxCertificate:
     """Top (k+1) cells of the leftmost (l+1) tall columns certify failure."""
+    _require_natural(k, l)
     cols = f.columns
     tall = sum(1 for c in cols if len(c) > k)
     if tall <= l:

@@ -1,18 +1,19 @@
 """Non-increasing integer sequences and the bottom-up colouring calculus.
 
-Two engines compute the minimum-independent-parts sequence of a cograph:
-a plain-array traversal of the cotree, and a run-length-encoded variant on
-the binary pseudocotree that always merges the smaller child's sequence
-into the larger one.  Both are kept and cross-checked by the tests.
+Two engines compute the minimum-independent-parts sequence of a cograph,
+each in one post-order pass over the cotree: a plain-array traversal, and a
+run-length-encoded variant that merges every child's sequence into the
+sequence of the child with the most leaves (small-to-large).  Both are kept
+and cross-checked by the tests.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
-from .cotree import AnyCotree, Cotree, CotreeNode, Pseudocotree, binarize, postorder
+from .cotree import Cotree, CotreeNode, postorder
 from .graphs import Graph, VertexSet, is_clique, is_independent_set
 
 
@@ -161,12 +162,12 @@ def cochromatic_number(s: PartitionSequence) -> int:
 # --- bottom-up computation on trees ---------------------------------------
 
 
-def kappa_hat_naive(t: AnyCotree) -> PartitionSequence:
+def kappa_hat_naive(t: Cotree) -> PartitionSequence:
     """Plain-array traversal: concatenate-and-sort at 0-nodes, add at 1-nodes."""
     return PartitionSequence(_naive_values(t.root, swap=False))
 
 
-def lambda_hat_naive(t: AnyCotree) -> PartitionSequence:
+def lambda_hat_naive(t: Cotree) -> PartitionSequence:
     """Same traversal with the two operators swapped."""
     return PartitionSequence(_naive_values(t.root, swap=True))
 
@@ -194,36 +195,6 @@ def _naive_values(root: CotreeNode, swap: bool) -> list[int]:
                     acc[i] += e
             vals[node] = acc
     return vals[root]
-
-
-def kappa_hat_annotated(
-    t: Cotree,
-) -> tuple[PartitionSequence, dict[CotreeNode, PartitionSequence]]:
-    """Kappa sequence plus the per-node sequences the certificate search needs."""
-    ann: dict[CotreeNode, PartitionSequence] = {}
-    vals: dict[CotreeNode, list[int]] = {}
-    for node in postorder(t.root):
-        if node.is_leaf:
-            vals[node] = [1]
-        elif node.label == 0:
-            merged: list[int] = []
-            for c in node.children:
-                merged += vals[c]
-            merged.sort(reverse=True)
-            vals[node] = merged
-        else:
-            acc: list[int] = []
-            for c in node.children:
-                part = vals[c]
-                if len(part) > len(acc):
-                    acc, part = list(part), acc
-                else:
-                    acc = list(acc)
-                for i, e in enumerate(part):
-                    acc[i] += e
-            vals[node] = acc
-        ann[node] = PartitionSequence(vals[node])
-    return ann[t.root], ann
 
 
 # Run-length lists are [value, count] pairs with strictly decreasing values.
@@ -267,48 +238,42 @@ def _rle_add_into(big: list[list[int]], small: list[list[int]]) -> None:
     big[:bi] = new
 
 
-def _fast_rle(t: Pseudocotree, swap: bool) -> list[list[int]]:
+def _fast_rle(t: Cotree, swap: bool) -> list[list[int]]:
     results: dict[CotreeNode, list[list[int]]] = {}
     for node in postorder(t.root):
         if node.is_leaf:
             results[node] = [[1, 1]]
             continue
-        c1, c2 = node.children
-        r1, r2 = results.pop(c1), results.pop(c2)
-        if c1.size >= c2.size:
-            big, small = r1, r2
-        else:
-            big, small = r2, r1
-        if (node.label == 0) != swap:
-            _rle_star_into(big, small)
-        else:
-            _rle_add_into(big, small)
-        results[node] = big
+        largest = max(node.children, key=lambda c: c.size)
+        acc = results.pop(largest)
+        merge = _rle_star_into if (node.label == 0) != swap else _rle_add_into
+        for child in node.children:
+            if child is not largest:
+                merge(acc, results.pop(child))
+        results[node] = acc
     return results[t.root]
 
 
-def kappa_hat_fast(t: AnyCotree) -> PartitionSequence:
-    """Run-length variant on the pseudocotree, smaller child merged into larger."""
-    pt = t if isinstance(t, Pseudocotree) else binarize(t)
+def kappa_hat_fast(t: Cotree) -> PartitionSequence:
+    """Run-length variant; each node merges its children into the largest one."""
     return PartitionSequence.from_runs(
-        (v, c) for v, c in _fast_rle(pt, swap=False)
+        (v, c) for v, c in _fast_rle(t, swap=False)
     )
 
 
-def lambda_hat_fast(t: AnyCotree) -> PartitionSequence:
-    pt = t if isinstance(t, Pseudocotree) else binarize(t)
+def lambda_hat_fast(t: Cotree) -> PartitionSequence:
     return PartitionSequence.from_runs(
-        (v, c) for v, c in _fast_rle(pt, swap=True)
+        (v, c) for v, c in _fast_rle(t, swap=True)
     )
 
 
-def kappa_hat(t: AnyCotree) -> PartitionSequence:
+def kappa_hat(t: Cotree) -> PartitionSequence:
     """Kappa sequence of the represented cograph; first entry is its chromatic
     number, length its clique cover number."""
     return kappa_hat_fast(t)
 
 
-def lambda_hat(t: AnyCotree) -> PartitionSequence:
+def lambda_hat(t: Cotree) -> PartitionSequence:
     """Lambda sequence, computed by the operator-swapped traversal."""
     return lambda_hat_fast(t)
 
@@ -348,10 +313,8 @@ def validate_colouring(
     )
 
 
-def extract_colouring(t: AnyCotree, k: int, l: int) -> KLColouring:
+def extract_colouring(t: Cotree, k: int, l: int) -> KLColouring:
     """Explicit (k,l)-colouring read off the Ferrers diagram representation."""
     from .ferrers import build_ferrers, read_colouring
 
-    if not is_kl_colourable(kappa_hat(t), k, l):
-        raise ValueError(f"graph is not ({k},{l})-colourable")
     return read_colouring(build_ferrers(t), k, l)

@@ -5,7 +5,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from klcograph import Graph, disjoint_union, join
+from klcograph import (
+    Cotree,
+    Graph,
+    build_cotree,
+    complement,
+    disjoint_union,
+    join,
+    random_cotree,
+)
 
 
 def complete_graph(n: int) -> Graph:
@@ -30,6 +38,25 @@ def l_copies_of_k_clique(l: int, k: int) -> Graph:
     for _ in range(l - 1):
         g = disjoint_union(g, complete_graph(k))
     return g
+
+
+def wide_and_tied_cotrees(seed: int, count: int) -> list[Cotree]:
+    """Inputs where a node's largest child need not come first.
+
+    ``count`` random cotrees with up to 2, 4, 8 or 16 children per node, so
+    the largest child often sits between smaller siblings, then the cotrees
+    of lK_k and of its complement, whose siblings all tie in size.
+    """
+    rng = random.Random(seed)
+    trees = [
+        random_cotree(rng.randint(1, 80), rng, max_children=rng.choice((2, 4, 8, 16)))
+        for _ in range(count)
+    ]
+    for l in range(1, 5):
+        for k in range(1, 5):
+            g = l_copies_of_k_clique(l, k)
+            trees += [build_cotree(g), build_cotree(complement(g))]
+    return trees
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -27,6 +27,16 @@ from helpers import complete_graph, l_copies_of_k_clique
 def test_certificate_size_enforced():
     with pytest.raises(ValueError):
         BoxCertificate(frozenset({0, 1, 2}), 2, 2)
+    for k, l in ((0, 1), (1, 0), (-1, -1)):
+        with pytest.raises(ValueError):
+            BoxCertificate(frozenset(), k, l)
+
+
+def test_certify_rejects_negative_parameters():
+    t = build_cotree(l_copies_of_k_clique(2, 2))
+    for k, l in ((-1, 0), (0, -1), (-1, 5)):
+        with pytest.raises(ValueError, match="natural numbers"):
+            certify_non_colourable(t, k, l)
 
 
 def test_find_box_cograph_in_union_of_cliques():

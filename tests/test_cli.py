@@ -102,6 +102,15 @@ def test_certify_emits_colouring_when_feasible(capsys, k3_file):
     assert payload["independent_sets"] == []
 
 
+def test_negative_parameters_exit_two_naming_the_flag(capsys, k3_file):
+    for command in ("check", "certify"):
+        for flag, argv in (("-k", ("-k", "-1", "-l", "0")), ("-l", ("-k", "0", "-l", "-2"))):
+            code, out, err = run(capsys, command, k3_file, *argv)
+            assert code == 2
+            assert out == ""
+            assert f"argument {flag}: must be a natural number" in err
+
+
 def test_ferrers_outputs(capsys, k3_file):
     code, out, _ = run(capsys, "ferrers", k3_file)
     assert code == 0

@@ -5,8 +5,6 @@ import pytest
 from klcograph import (
     Cotree,
     P4Witness,
-    Pseudocotree,
-    binarize,
     build_cotree,
     check_cotree,
     complement_cotree,
@@ -111,18 +109,6 @@ def test_cotree_alternation_invariant():
             for child in node.children:
                 if not child.is_leaf:
                     assert child.label != node.label
-
-
-def test_binarize_preserves_graph():
-    rng = random.Random(6)
-    for _ in range(40):
-        t = random_cotree(rng.randint(1, 30), rng)
-        b = binarize(t)
-        assert isinstance(b, Pseudocotree)
-        check_cotree(b)
-        for node in postorder(b.root):
-            assert node.is_leaf or len(node.children) == 2
-        assert evaluate_cotree(b) == evaluate_cotree(t)
 
 
 def test_complement_cotree_flips_graph():

@@ -24,7 +24,7 @@ from klcograph import (
 )
 from klcograph.sequences import is_kl_colourable, kappa_at
 
-from helpers import complete_graph, l_copies_of_k_clique
+from helpers import complete_graph, l_copies_of_k_clique, wide_and_tied_cotrees
 
 
 def test_single_vertex_representation():
@@ -46,6 +46,7 @@ def test_union_of_cliques_shape():
     f = build_ferrers(t)
     assert f.shape.entries == (2, 2, 2)
     assert [len(c) for c in f.columns] == [3, 3]
+    assert f.columns == tuple(zip(*f.rows))
 
 
 def test_shape_matches_lambda_and_columns_match_kappa():
@@ -63,8 +64,9 @@ def test_shape_matches_lambda_and_columns_match_kappa():
 
 def test_naive_and_fast_agree_cell_for_cell():
     rng = random.Random(41)
-    for _ in range(150):
-        t = random_cotree(rng.randint(1, 80), rng)
+    trees = [random_cotree(rng.randint(1, 80), rng) for _ in range(150)]
+    trees += wide_and_tied_cotrees(46, 150)
+    for t in trees:
         assert build_ferrers_naive(t).rows == build_ferrers_fast(t).rows
 
 
@@ -133,6 +135,14 @@ def test_preconditions_are_complementary():
                     read_obstruction(f, k, l)
                     with pytest.raises(ValueError):
                         read_colouring(f, k, l)
+
+
+def test_read_offs_reject_negative_parameters():
+    f = build_ferrers(build_cotree(l_copies_of_k_clique(2, 2)))
+    for k, l in ((-1, 0), (0, -1), (-1, -1)):
+        for read in (read_colouring, read_obstruction):
+            with pytest.raises(ValueError, match="natural numbers"):
+                read(f, k, l)
 
 
 def test_render_ascii_lists_labels_row_major():

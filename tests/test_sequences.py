@@ -29,7 +29,7 @@ from klcograph import (
     validate_colouring,
 )
 
-from helpers import l_copies_of_k_clique
+from helpers import l_copies_of_k_clique, wide_and_tied_cotrees
 
 partitions = st.lists(st.integers(1, 12), max_size=12).map(
     lambda xs: PartitionSequence(sorted(xs, reverse=True))
@@ -141,8 +141,9 @@ def test_kappa_hat_of_l_copies_of_k_clique():
 
 def test_naive_and_fast_agree_with_conjugate_duality():
     rng = random.Random(10)
-    for _ in range(200):
-        t = random_cotree(rng.randint(1, 80), rng)
+    trees = [random_cotree(rng.randint(1, 80), rng) for _ in range(200)]
+    trees += wide_and_tied_cotrees(14, 200)
+    for t in trees:
         kn = kappa_hat_naive(t)
         kf = kappa_hat_fast(t)
         ln = lambda_hat_naive(t)
