@@ -267,39 +267,83 @@ def check_cotree(t: Cotree) -> None:
 
 
 # --- serialization ---------------------------------------------------------
+#
+# Every walk below keeps an explicit stack, so tree depth is bounded only by
+# memory, and appends tokens to one list that is joined once.
+
+
+def _serialize(root: CotreeNode, leaf, opening, sep: str, close: str) -> str:
+    """Tokens of ``opening(node)``, children separated by ``sep``, ``close``."""
+    out: list[str] = []
+    stack: list[CotreeNode | str] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf:
+            out.append(leaf(item))
+        else:
+            out.append(opening(item))
+            stack.append(close)
+            for i in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[i])
+                if i:
+                    stack.append(sep)
+    return "".join(out)
 
 
 def cotree_to_text(t: Cotree) -> str:
     """Nested parenthesized form, e.g. ``1(0(a,b),c)``."""
-    out: dict[CotreeNode, str] = {}
-    for node in postorder(t.root):
-        if node.is_leaf:
-            out[node] = t.label_of(node.vertex)
-        else:
-            inner = ",".join(out.pop(c) for c in node.children)
-            out[node] = f"{node.label}({inner})"
-    return out[t.root]
+    return _serialize(
+        t.root, lambda x: t.label_of(x.vertex), lambda x: f"{x.label}(", ",", ")"
+    )
 
 
 def cotree_to_json(t: Cotree) -> str:
-    def encode(node: CotreeNode) -> dict:
-        if node.is_leaf:
-            return {"vertex": node.vertex, "name": t.label_of(node.vertex)}
-        return {"label": node.label, "children": [encode(c) for c in node.children]}
+    """The same text as ``json.dumps`` of nested ``{"label", "children"}`` and
+    ``{"vertex", "name"}`` objects."""
+    return _serialize(
+        t.root,
+        lambda x: json.dumps({"vertex": x.vertex, "name": t.label_of(x.vertex)}),
+        lambda x: f'{{"label": {json.dumps(x.label)}, "children": [',
+        ", ",
+        "]}",
+    )
 
-    return json.dumps(encode(t.root))
+
+def _json_int(value: object, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"cotree JSON {key} must be an integer, got {value!r}") from None
 
 
 def cotree_from_json(text: str, n: int | None = None) -> Cotree:
-    def decode(obj: dict) -> CotreeNode:
+    """Inverse of ``cotree_to_json``; raises ValueError on malformed input."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("cotree JSON nests too deeply to decode") from None
+    root_box: list[CotreeNode] = []
+    # stack entries: (JSON object, children list the decoded node joins)
+    stack: list[tuple[object, list[CotreeNode]]] = [(data, root_box)]
+    while stack:
+        obj, sink = stack.pop()
+        if not isinstance(obj, dict):
+            raise ValueError(f"cotree JSON node must be an object, got {obj!r}")
         if "vertex" in obj:
-            return CotreeNode(vertex=int(obj["vertex"]))
-        return CotreeNode(
-            label=int(obj["label"]),
-            children=[decode(c) for c in obj["children"]],
-        )
-
-    root = decode(json.loads(text))
+            sink.append(CotreeNode(vertex=_json_int(obj["vertex"], "vertex")))
+            continue
+        children = obj.get("children")
+        if "label" not in obj or not isinstance(children, list):
+            raise ValueError(
+                "cotree JSON node needs a vertex, or a label and a children list"
+            )
+        node = CotreeNode(label=_json_int(obj["label"], "label"))
+        sink.append(node)
+        for child in reversed(children):
+            stack.append((child, node.children))
+    root = root_box[0]
     _fill_sizes(root)
     t = Cotree(root, root.size if n is None else n)
     check_cotree(t)
@@ -309,32 +353,37 @@ def cotree_from_json(text: str, n: int | None = None) -> Cotree:
 def cotree_from_text(text: str) -> Cotree:
     """Parse the parenthesized form; leaf names must be integers."""
     pos = 0
-
-    def parse() -> CotreeNode:
-        nonlocal pos
+    root_box: list[CotreeNode] = []
+    open_nodes: list[CotreeNode] = []  # internal nodes whose ')' is pending
+    while True:
         start = pos
         while pos < len(text) and text[pos] not in "(),":
             pos += 1
         token = text[start:pos].strip()
+        sink = open_nodes[-1].children if open_nodes else root_box
         if pos < len(text) and text[pos] == "(":
             if token not in ("0", "1"):
                 raise ValueError(f"bad internal node label {token!r}")
             pos += 1  # consume '('
-            children = [parse()]
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                children.append(parse())
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError("unbalanced parentheses in cotree text")
-            pos += 1  # consume ')'
-            return CotreeNode(label=int(token), children=children)
+            node = CotreeNode(label=int(token))
+            sink.append(node)
+            open_nodes.append(node)
+            continue  # its first child comes next
         if not token:
             raise ValueError("empty leaf name in cotree text")
-        return CotreeNode(vertex=int(token))
-
-    root = parse()
+        sink.append(CotreeNode(vertex=int(token)))
+        # a node just ended: a ',' starts its next sibling, a ')' ends its parent
+        while open_nodes and pos < len(text) and text[pos] == ")":
+            pos += 1
+            open_nodes.pop()
+        if not open_nodes:
+            break
+        if pos >= len(text) or text[pos] != ",":
+            raise ValueError("unbalanced parentheses in cotree text")
+        pos += 1  # consume ','
     if pos != len(text.rstrip()):
         raise ValueError("trailing characters after cotree text")
+    root = root_box[0]
     _fill_sizes(root)
     t = Cotree(root, root.size)
     check_cotree(t)

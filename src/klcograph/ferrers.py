@@ -5,16 +5,20 @@ set and every column induces a clique.  Column heights read off the kappa
 sequence, row lengths the lambda sequence.
 
 Two builders: a naive one that re-sorts whole representations at every tree
-node, and a linked-grid one that inserts every other child's columns (at
-0-nodes) or rows (at 1-nodes) into the grid of the child with the most
-leaves, for O(n log n) total work.  Both produce the same grid cell for
-cell: concatenation order is the children's order, and sorting by size is
-stable.
+node, and a run-list one that keeps the columns and the rows of each subtree
+as run-length lists of lines.  Columns follow the kappa operators and rows
+the lambda operators, each merged into the child with the most leaves, for
+O(n log n) total work; a vertex's cell is (its row's index, its column's
+index).  Both produce the same grid cell for cell: concatenation order is the
+children's order, and sorting by size is stable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 from xml.sax.saxutils import escape
 
 from .certificate import BoxCertificate
@@ -94,200 +98,97 @@ def build_ferrers_naive(t: Cotree) -> FerrersRepresentation:
     )
 
 
-# --- linked-grid builder ---------------------------------------------------
+# --- run-list builder ------------------------------------------------------
+#
+# Runs are [size, deque of lines] with strictly decreasing sizes, where a line
+# is a list of vertices: a column, or a row.  Column heights follow the kappa
+# operators and row lengths the lambda operators, each on its own, so a
+# vertex's cell is (index of its row line, index of its column line).
 
 
-class _Cell:
-    __slots__ = ("v", "right", "down")
-
-    def __init__(self, v: int) -> None:
-        self.v = v
-        self.right: _Cell | None = None
-        self.down: _Cell | None = None
-
-
-class _Grid:
-    """Linked grid plus run-length indexes of column heights and row lengths.
-
-    Runs are [size, count, first, last] with strictly decreasing sizes,
-    where first/last are the first cells (top cell of a column, left cell of
-    a row) of the run's boundary lines.
-    """
-
-    __slots__ = ("col_runs", "row_runs")
-
-    def __init__(self, col_runs: list, row_runs: list) -> None:
-        self.col_runs = col_runs
-        self.row_runs = row_runs
-
-    @classmethod
-    def leaf(cls, v: int) -> "_Grid":
-        c = _Cell(v)
-        return cls([[1, 1, c, c]], [[1, 1, c, c]])
-
-
-def _extract_lines(grid: _Grid, axis: int) -> list[list[_Cell]]:
-    """axis 0: columns left-to-right; axis 1: rows top-to-bottom."""
-    step, walk = ("right", "down") if axis == 0 else ("down", "right")
-    top_left = grid.col_runs[0][2]
-    lines: list[list[_Cell]] = []
-    head = top_left
-    while head is not None:
-        line = []
-        cell = head
-        while cell is not None:
-            line.append(cell)
-            cell = getattr(cell, walk)
-        lines.append(line)
-        head = getattr(head, step)
-    return lines
-
-
-def _merge_grids(big: _Grid, small: _Grid, label: int, small_first: bool) -> None:
-    """Insert small's columns (0-node) or rows (1-node) into big, in place.
-
-    small_first says whether small is the earlier child in concatenation
-    order, which decides which side of an equal-size run the block lands on.
-    """
-    if label == 0:
-        ins_runs, cross_runs = big.col_runs, big.row_runs
-        walk, link = "down", "right"
-        lines = _extract_lines(small, axis=0)
-    else:
-        ins_runs, cross_runs = big.row_runs, big.col_runs
-        walk, link = "right", "down"
-        lines = _extract_lines(small, axis=1)
-
-    idx = 0  # monotone cursor into ins_runs; line sizes arrive descending
-    i = 0
-    while i < len(lines):
-        h = len(lines[i])
-        block = [lines[i]]
-        i += 1
-        while i < len(lines) and len(lines[i]) == h:
-            block.append(lines[i])
-            i += 1
-        b = len(block)
-
-        while idx < len(ins_runs) and ins_runs[idx][0] > h:
-            idx += 1
-        exists = idx < len(ins_runs) and ins_runs[idx][0] == h
-        if exists and not small_first:
-            anchor = ins_runs[idx][3]
-        elif idx > 0:
-            anchor = ins_runs[idx - 1][3]
-        else:
-            anchor = None
-
-        # chain the block's lines together at every cross position
-        for r in range(h):
-            for j in range(b - 1):
-                setattr(block[j][r], link, block[j + 1][r])
-
-        if anchor is not None:
-            a = anchor
-            for r in range(h):
-                old = getattr(a, link)
-                setattr(a, link, block[0][r])
-                setattr(block[b - 1][r], link, old)
-                if r + 1 < h:
-                    a = getattr(a, walk)  # anchor line is at least h long
-        else:
-            # block becomes the leading line(s); old first line follows it
-            old_cells: list[_Cell] = []
-            cell = ins_runs[0][2] if ins_runs else None
-            while cell is not None and len(old_cells) < h:
-                old_cells.append(cell)
-                cell = getattr(cell, walk)
-            for r in range(h):
-                nxt = old_cells[r] if r < len(old_cells) else None
-                setattr(block[b - 1][r], link, nxt)
-
-        leading = anchor is None
-        if exists:
-            run = ins_runs[idx]
-            run[1] += b
+def _star_lines(big: list, small: list, small_first: bool) -> None:
+    """Merge small's runs into big by size; ties go ahead of big's lines when
+    small is the earlier child, behind them otherwise."""
+    for size, lines in small:
+        i = bisect_left(big, -size, key=lambda r: -r[0])
+        if i < len(big) and big[i][0] == size:
             if small_first:
-                run[2] = block[0][0]
+                big[i][1].extendleft(reversed(lines))
             else:
-                run[3] = block[-1][0]
+                big[i][1].extend(lines)
         else:
-            ins_runs.insert(idx, [h, b, block[0][0], block[-1][0]])
-        idx += 1
-
-        _bump_cross_runs(ins_runs, cross_runs, h, b, block[0], leading, walk)
+            big.insert(i, [size, lines])
 
 
-def _bump_cross_runs(
-    ins_runs: list,
-    cross_runs: list,
-    h: int,
-    b: int,
-    lead_line: list[_Cell],
-    leading: bool,
-    walk: str,
-) -> None:
-    """Account for a block of b inserted lines of size h: the first h cross
-    lines each grew by b, and cross lines beyond the old count are new."""
-    total = sum(run[1] for run in cross_runs)
-    h_eff = min(h, total)
-    acc = 0
-    j = 0
-    while j < len(cross_runs) and acc + cross_runs[j][1] <= h_eff:
-        run = cross_runs[j]
-        run[0] += b
-        if leading:
-            # the block's first line now starts every one of these cross lines
-            run[2] = lead_line[acc]
-            run[3] = lead_line[acc + run[1] - 1]
-        acc += run[1]
-        j += 1
-    if acc < h_eff:
-        # a run straddles the boundary; split it (never happens when leading,
-        # because then h covers every existing cross line)
-        run = cross_runs[j]
-        upper_count = h_eff - acc
-        boundary_hi = _cross_first_cell(ins_runs, walk, h_eff - 1)
-        boundary_lo = _cross_first_cell(ins_runs, walk, h_eff)
-        upper = [run[0] + b, upper_count, run[2], boundary_hi]
-        lower = [run[0], run[1] - upper_count, boundary_lo, run[3]]
-        cross_runs[j : j + 1] = [upper, lower]
-    if h > total:
-        cross_runs.append([b, h - total, lead_line[total], lead_line[h - 1]])
+def _add_lines(big: list, small: list) -> None:
+    """Extend line j of big with line j of small; small's extra lines go last.
+
+    Run boundaries of either operand force a strict decrease in the sum, so
+    only big's straddling run is split and nothing is coalesced.
+    """
+    new: list = []
+    bi = 0
+    for s_size, s_lines in small:
+        while s_lines:
+            if bi == len(big):
+                new.append([s_size, s_lines])
+                break
+            b_size, b_lines = big[bi]
+            if len(s_lines) >= len(b_lines):
+                taken = b_lines
+                bi += 1
+            else:
+                taken = deque(b_lines.popleft() for _ in range(len(s_lines)))
+            for line in taken:
+                line.extend(s_lines.popleft())
+            new.append([b_size + s_size, taken])
+    big[:bi] = new
 
 
-def _cross_first_cell(ins_runs: list, walk: str, r: int) -> _Cell:
-    """First cell of cross line r: walk the first (longest) inserted-axis line."""
-    cell = ins_runs[0][2]
-    for _ in range(r):
-        cell = getattr(cell, walk)
-    return cell
+def _lines(runs: list) -> Iterator[list[int]]:
+    """Every line of a run list, in order."""
+    return (line for _, lines in runs for line in lines)
 
 
 def build_ferrers_fast(t: Cotree) -> FerrersRepresentation:
-    """Linked-grid builder; each node merges its children into the largest one.
+    """One post-order pass; each node merges its children into the largest one.
 
-    Children before the largest are inserted ahead of it among equal-size
+    0-nodes star-merge the column runs and add the row runs, 1-nodes the
+    reverse.  Children before the largest go ahead of it among equal-size
     lines, nearest first; children after it go behind, in order.
     """
-    grids: dict[CotreeNode, _Grid] = {}
+    runs: dict[CotreeNode, tuple[list, list]] = {}
     for node in postorder(t.root):
         if node.is_leaf:
-            grids[node] = _Grid.leaf(node.vertex)
+            v = node.vertex
+            runs[node] = ([[1, deque([[v]])]], [[1, deque([[v]])]])
             continue
         kids = node.children
         big = max(range(len(kids)), key=lambda i: kids[i].size)
-        grid = grids.pop(kids[big])
-        for child in reversed(kids[:big]):
-            _merge_grids(grid, grids.pop(child), node.label, small_first=True)
-        for child in kids[big + 1 :]:
-            _merge_grids(grid, grids.pop(child), node.label, small_first=False)
-        grids[node] = grid
-    rows = tuple(
-        tuple(cell.v for cell in line)
-        for line in _extract_lines(grids[t.root], axis=1)
-    )
-    return FerrersRepresentation(rows, t.labels)
+        cols, rows = runs.pop(kids[big])
+        order = [(c, True) for c in reversed(kids[:big])]
+        order += [(c, False) for c in kids[big + 1 :]]
+        for child, small_first in order:
+            c_cols, c_rows = runs.pop(child)
+            if node.label == 0:
+                _star_lines(cols, c_cols, small_first)
+                _add_lines(rows, c_rows)
+            else:
+                _star_lines(rows, c_rows, small_first)
+                _add_lines(cols, c_cols)
+        runs[node] = (cols, rows)
+    cols, rows = runs[t.root]
+    col_of = [0] * t.n
+    for j, line in enumerate(_lines(cols)):
+        for v in line:
+            col_of[v] = j
+    grid = []
+    for line in _lines(rows):
+        row = [0] * len(line)
+        for v in line:
+            row[col_of[v]] = v
+        grid.append(tuple(row))
+    return FerrersRepresentation(tuple(grid), t.labels)
 
 
 def build_ferrers(t: Cotree) -> FerrersRepresentation:

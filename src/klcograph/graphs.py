@@ -163,19 +163,11 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(rest)} bytes, expected {(nbits + 5) // 6} for n={n}"
         )
-    bits = 0
-    for b in rest:
-        bits = (bits << 6) | (b - 63)
-    pad = len(rest) * 6 - nbits
-    bits >>= pad
-    edges = []
-    # bits now hold the upper triangle, last pair in the lowest bit
-    pos = nbits - 1
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> (pos)) & 1:
-                edges.append((i, j))
-            pos -= 1
+    # one bit per vertex pair in column-major upper-triangle order; the
+    # padding bits past the last pair are ignored
+    bits = "".join(format(b - 63, "06b") for b in rest)
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    edges = [pair for pair, bit in zip(pairs, bits) if bit == "1"]
     return Graph.from_edges(n, edges)
 
 

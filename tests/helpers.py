@@ -73,16 +73,24 @@ EXAMPLE_7 = Graph.from_edges(
 
 
 def encode_graph6(g: Graph) -> str:
-    """graph6 encoder, for round-trip tests of the decoder."""
-    if g.n > 62:
-        raise ValueError("encoder supports n <= 62 only")
+    """graph6 encoder, for round-trip tests of the decoder.
+
+    n <= 62 takes a one-byte header; up to 258047 it takes '~' and three
+    6-bit bytes, most significant first.
+    """
+    if g.n <= 62:
+        header = [chr(g.n + 63)]
+    elif g.n <= 258047:
+        header = ["~"] + [chr(((g.n >> shift) & 63) + 63) for shift in (12, 6, 0)]
+    else:
+        raise ValueError("encoder supports n <= 258047 only")
     bits = []
     for col in range(1, g.n):
         for row in range(col):
             bits.append(1 if g.has_edge(row, col) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(g.n + 63)]
+    out = header
     for i in range(0, len(bits), 6):
         value = 0
         for b in bits[i : i + 6]:

@@ -40,6 +40,18 @@ def test_recognize_p4_exits_one_with_witness(capsys, p4_file):
     assert payload["p4"] == ["0", "1", "2", "3"]
 
 
+def test_recognize_json_on_deep_cograph(capsys, tmp_path):
+    from klcograph import deep_alternating_cotree, evaluate_cotree
+
+    g = evaluate_cotree(deep_alternating_cotree(600))
+    p = tmp_path / "deep.txt"
+    p.write_text("600\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    code, out, err = run(capsys, "recognize", str(p), "--json")
+    assert code == 0, err
+    # the nesting is too deep for json.loads; count the leaves instead
+    assert out.startswith('{"label": ') and out.count('"vertex": ') == 600
+
+
 def test_recognize_graph6_k4(capsys, tmp_path):
     p = tmp_path / "k4.g6"
     p.write_text("C~")
@@ -144,15 +156,19 @@ def test_params_cograph_and_oracle(capsys, k3_file, tmp_path):
 
 
 def test_bench_csv_shape(capsys):
-    code, out, _ = run(capsys, "bench", "--sizes", "64", "128", "--trials", "2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,naive_ms,fast_ms"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        n, naive_ms, fast_ms = line.split(",")
-        assert int(n) in (64, 128)
-        assert float(naive_ms) >= 0 and float(fast_ms) >= 0
+    for extra in ((), ("--algorithm", "ferrers"), ("--adversarial",),
+                  ("--algorithm", "ferrers", "--adversarial")):
+        code, out, _ = run(
+            capsys, "bench", "--sizes", "64", "128", "--trials", "2", *extra
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "n,naive_ms,fast_ms"
+        assert len(lines) == 5
+        for line in lines[1:]:
+            n, naive_ms, fast_ms = line.split(",")
+            assert int(n) in (64, 128)
+            assert float(naive_ms) >= 0 and float(fast_ms) >= 0
 
 
 def test_unknown_command_exits_two(capsys):

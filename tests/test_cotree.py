@@ -127,6 +127,19 @@ def test_text_and_json_round_trips():
         canon = build_cotree(evaluate_cotree(t))
         assert cotree_to_text(cotree_from_text(cotree_to_text(canon))) == cotree_to_text(canon)
         assert cotree_to_text(cotree_from_json(cotree_to_json(canon))) == cotree_to_text(canon)
+    for bad in (
+        '{"label": 1}',
+        "[1, 2]",
+        "3",
+        '{"label": 1, "children": 5}',
+        '{"label": 1, "children": [{"vertex": 0}, 7]}',
+        '{"label": "x", "children": [{"vertex": 0}, {"vertex": 1}]}',
+        '{"label": 0, "children": [{"vertex": null}, {"vertex": 1}]}',
+        '{"vertex": [0]}',
+        "{",
+    ):
+        with pytest.raises(ValueError):
+            cotree_from_json(bad)
 
 
 def test_deep_tree_does_not_hit_recursion_limit():
@@ -134,6 +147,9 @@ def test_deep_tree_does_not_hit_recursion_limit():
 
     t = deep_alternating_cotree(5000)
     assert sorted(leaves_of(t.root)) == list(range(5000))
+    text = cotree_to_text(t)
+    assert cotree_to_text(cotree_from_text(text)) == text
+    assert cotree_to_json(t).count('"vertex"') == 5000
 
 
 def test_check_cotree_rejects_repeated_labels_in_cotree():

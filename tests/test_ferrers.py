@@ -8,7 +8,9 @@ from klcograph import (
     build_ferrers,
     build_ferrers_fast,
     build_ferrers_naive,
+    complement_cotree,
     conjugate,
+    deep_alternating_cotree,
     evaluate_cotree,
     kappa_hat,
     lambda_hat,
@@ -66,6 +68,12 @@ def test_naive_and_fast_agree_cell_for_cell():
     rng = random.Random(41)
     trees = [random_cotree(rng.randint(1, 80), rng) for _ in range(150)]
     trees += wide_and_tied_cotrees(46, 150)
+    trees += [
+        deep_alternating_cotree(n, top)
+        for n in (1, 2, 3, 4, 5, 8, 13, 31, 64, 100, 127, 200)
+        for top in (0, 1)
+    ]
+    trees += [complement_cotree(t) for t in trees[:100]]
     for t in trees:
         assert build_ferrers_naive(t).rows == build_ferrers_fast(t).rows
 

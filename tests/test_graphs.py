@@ -74,6 +74,12 @@ def test_graph6_round_trip():
     for _ in range(50):
         g = random_graph(rng.randint(1, 20), rng.random(), rng)
         assert parse_graph6(encode_graph6(g)) == g
+    # n >= 63 takes the '~' + 3-byte header
+    for n in (62, 63, 64, 65, 100, 129, 130):
+        g = random_graph(n, rng.random(), rng)
+        text = encode_graph6(g)
+        assert text.startswith("~") == (n >= 63)
+        assert parse_graph6(text) == g
 
 
 def test_complement_involution():
