@@ -153,7 +153,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphFormatError("empty graph6 input")
-    data = s.encode("ascii", errors="replace")
+    if not s.isascii():
+        raise GraphFormatError("graph6 input contains a non-ASCII character")
+    data = s.encode("ascii")
     for b in data:
         if not 63 <= b <= 126:
             raise GraphFormatError(f"graph6 byte {b} outside printable range 63..126")

@@ -64,6 +64,31 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def induces_p4(g: Graph, quad) -> bool:
+    """Do the four vertices induce a path?  Three edges with degrees 1, 1, 2, 2."""
+    members = set(quad)
+    return sorted(len(g.adj[x] & members) for x in quad) == [1, 1, 2, 2]
+
+
+def has_induced_p4(g: Graph) -> bool:
+    """Brute-force reference for recognition: tries every 4-vertex subset."""
+    return any(induces_p4(g, q) for q in itertools.combinations(range(g.n), 4))
+
+
+def has_induced_p4_through(g: Graph, u: int, v: int) -> bool:
+    """Brute force over the 4-vertex subsets that contain both u and v."""
+    others = [x for x in range(g.n) if x != u and x != v]
+    return any(induces_p4(g, (u, v, a, b)) for a, b in itertools.combinations(others, 2))
+
+
+def flip_pair(g: Graph, u: int, v: int) -> Graph:
+    """g with the adjacency of u and v toggled."""
+    adj = [set(s) for s in g.adj]
+    adj[u] ^= {v}
+    adj[v] ^= {u}
+    return Graph(g.n, tuple(frozenset(s) for s in adj))
+
+
 # The 7-vertex worked example: two triangles sharing structure through a
 # middle vertex; it contains an induced P4, so only the oracle applies.
 EXAMPLE_7 = Graph.from_edges(

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
+from klcograph import Graph, P4Witness, parse_edge_list, parse_graph6
 from klcograph.cli import main
 
 from helpers import EXAMPLE_7, encode_graph6
@@ -58,6 +64,15 @@ def test_recognize_graph6_k4(capsys, tmp_path):
     code, out, _ = run(capsys, "recognize", str(p), "--format", "g6")
     assert code == 0
     assert out.strip() == "1(0,1,2,3)"
+
+
+def test_recognize_non_ascii_graph6_exits_two(capsys, tmp_path):
+    p = tmp_path / "bad.g6"
+    p.write_text("Cé", encoding="utf-8")
+    code, out, err = run(capsys, "recognize", str(p), "--format", "g6")
+    assert code == 2
+    assert out == ""
+    assert "non-ASCII" in err
 
 
 def test_recognize_malformed_exits_two(capsys, tmp_path):
@@ -178,3 +193,85 @@ def test_unknown_command_exits_two(capsys):
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "kappa", "/nonexistent/path.txt")
     assert code == 2
+
+
+# Vertex ids in fuzzed edge lists stay at or below 10**4: the CLI has no vertex
+# ceiling yet, and one edge "0 100000000" makes the parser allocate 10**8
+# adjacency sets.
+FUZZ_MAX_ID = 10**4
+FUZZ_COMMANDS = (
+    ("recognize",),
+    ("recognize", "--json"),
+    ("kappa",),
+    ("check", "-k", "1", "-l", "1"),
+    ("certify", "-k", "2", "-l", "1"),
+)
+FUZZ_CHARS = "0123456789 \t\n-#~?@_>{é\x00"
+
+
+@st.composite
+def mutated_graph_text(draw):
+    """An edge list or graph6 string of a small graph, with a few characters
+    inserted, deleted or replaced."""
+    fmt = draw(st.sampled_from(("edges", "g6")))
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=30)) if u != v]
+    if fmt == "g6":
+        text = encode_graph6(Graph.from_edges(n, edges))
+    else:
+        if draw(st.booleans()):
+            n = draw(st.integers(n, FUZZ_MAX_ID))  # a sparse id
+            edges.append((0, n - 1))
+        header = f"{n}\n" if draw(st.booleans()) else ""
+        text = header + "".join(f"{u} {v}\n" for u, v in edges)
+    edits = st.tuples(
+        st.sampled_from("idr"), st.integers(0, 10**6), st.sampled_from(FUZZ_CHARS)
+    )
+    for op, at, char in draw(st.lists(edits, max_size=4)):
+        i = at % (len(text) + 1)
+        if op == "i":
+            text = text[:i] + char + text[i:]
+        elif op == "d":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + char + text[i + 1 :]
+    for token in text.split():
+        try:
+            assume(abs(int(token)) <= FUZZ_MAX_ID)
+        except ValueError:
+            pass
+    return fmt, text
+
+
+def run_on_stdin(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(mutated_graph_text())
+def test_cli_exit_code_contract_on_mutated_input(case):
+    fmt, text = case
+    for command in FUZZ_COMMANDS:
+        code, out, err = run_on_stdin([command[0], "-", "--format", fmt, *command[1:]], text)
+        assert code in (0, 1, 2), (command, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+        if code != 1:
+            continue
+        payload = json.loads(out)
+        if "p4" in payload:
+            g = parse_graph6(text) if fmt == "g6" else parse_edge_list(text)
+            assert P4Witness(*(int(x) for x in payload["p4"])).holds_in(g)
+        else:
+            assert command[0] in ("check", "certify") and "vertices" in payload

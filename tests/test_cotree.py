@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
 
 from klcograph import (
     Cotree,
+    Graph,
+    NotACographError,
     P4Witness,
     build_cotree,
     check_cotree,
@@ -13,6 +16,7 @@ from klcograph import (
     cotree_to_json,
     cotree_to_text,
     complement,
+    deep_alternating_cotree,
     evaluate_cotree,
     find_p4,
     random_cotree,
@@ -23,6 +27,9 @@ from helpers import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    flip_pair,
+    has_induced_p4,
+    has_induced_p4_through,
     path_graph,
     random_graph,
 )
@@ -65,6 +72,70 @@ def test_find_p4_on_cycles():
         assert find_p4(g).holds_in(g)
 
 
+def test_find_p4_rejects_cographs_and_the_empty_graph():
+    for g in (Graph.from_edges(0, []), empty_graph(1), complete_graph(5),
+              evaluate_cotree(deep_alternating_cotree(60, 1))):
+        with pytest.raises(NotACographError):
+            find_p4(g)
+
+
+def test_witness_exactly_when_brute_force_finds_a_p4():
+    rng = random.Random(11)
+    with_p4 = 0
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 9), rng.random(), rng)
+        out = build_cotree(g)
+        if has_induced_p4(g):
+            with_p4 += 1
+            assert isinstance(out, P4Witness) and out.holds_in(g)
+            assert find_p4(g).holds_in(g)
+        else:
+            assert isinstance(out, Cotree)
+            with pytest.raises(NotACographError):
+                find_p4(g)
+    assert 100 < with_p4 < 350
+
+
+def _near_cograph(g, rng, kind):
+    """Flip one pair u < v of the cograph g so that an induced P4 runs through it.
+
+    As in the graph-query benchmark's generator, bit 0 of ``kind`` is the
+    parity of n - 1 - v and bit 1 that of v - u; on the deep family these
+    decide the labels that u and v hang from.  Flips without a P4 through
+    the pair leave a cograph, which is checked on the way.
+    """
+    n = g.n
+    gap = 2 - (kind >> 1)  # smallest v - u of the asked parity
+    for _ in range(200):
+        v = rng.randrange(gap + 1, n)
+        v -= (n - 1 - v - kind) % 2
+        u = v - gap - 2 * rng.randrange((v - gap) // 2 + 1)
+        h = flip_pair(g, u, v)
+        if has_induced_p4_through(h, u, v):
+            return h, (u, v)
+        assert isinstance(build_cotree(h), Cotree)
+    raise AssertionError("no pair flip produced an induced P4")
+
+
+@pytest.mark.parametrize("kind", range(4))
+def test_near_cograph_witness_runs_through_the_flipped_pair(kind):
+    # Any 4-set without both flipped vertices induces what it induced in the
+    # cograph, so every P4 of a near-cograph contains both of them.
+    rng = random.Random(100 + kind)
+    for n in (40, 97, 200):
+        bases = [
+            deep_alternating_cotree(n, 0),
+            deep_alternating_cotree(n, 1),
+            random_cotree(n, rng, max_children=rng.choice((2, 4, 8, 16))),
+        ]
+        for base in bases:
+            g, (u, v) = _near_cograph(evaluate_cotree(base), rng, kind)
+            assert (n - 1 - v) % 2 == kind & 1 and (v - u) % 2 == kind >> 1
+            for w in (build_cotree(g), find_p4(g)):
+                assert isinstance(w, P4Witness) and w.holds_in(g)
+                assert {u, v} <= set(w.vertices())
+
+
 def test_p4_free_random_graphs_round_trip():
     rng = random.Random(2)
     built_count = 0
@@ -84,6 +155,22 @@ def test_evaluate_build_round_trip_on_generated_cographs():
     rng = random.Random(3)
     for _ in range(100):
         t = random_cotree(rng.randint(1, 40), rng)
+        g = evaluate_cotree(t)
+        rebuilt = build_cotree(g)
+        assert isinstance(rebuilt, Cotree)
+        assert evaluate_cotree(rebuilt) == g
+
+
+def test_round_trip_on_wide_and_deep_cographs():
+    # Wide nodes and long paths make the component searches test the
+    # vertices not yet reached against a whole frontier at once.
+    rng = random.Random(12)
+    trees = [
+        random_cotree(rng.randint(50, 200), rng, max_children=rng.choice((4, 8, 16)))
+        for _ in range(40)
+    ]
+    trees += [deep_alternating_cotree(n, top) for n in (150, 151) for top in (0, 1)]
+    for t in trees:
         g = evaluate_cotree(t)
         rebuilt = build_cotree(g)
         assert isinstance(rebuilt, Cotree)
@@ -142,14 +229,30 @@ def test_text_and_json_round_trips():
             cotree_from_json(bad)
 
 
-def test_deep_tree_does_not_hit_recursion_limit():
-    from klcograph import deep_alternating_cotree
+def test_json_reader_matches_json_loads():
+    from klcograph.cotree import _json_loads
 
+    for text in (
+        '{"a": [], "b": {}, "c": [[], {"d": null}], "e": "x\\"\\u00e9\\n"}',
+        ' [0, -1, 2.5, -3e-2, 1E+3, true, false, null, ""] ',
+        "[[[[7]]]]",
+        "{}",
+        "12",
+    ):
+        assert _json_loads(text) == json.loads(text)
+    for bad in ("", "[1,]", "[1 2]", '{"a" 1}', "{1: 2}", "[01]", "[1]]", "nul", "[NaN]"):
+        with pytest.raises(ValueError):
+            _json_loads(bad)
+
+
+def test_deep_tree_does_not_hit_recursion_limit():
     t = deep_alternating_cotree(5000)
     assert sorted(leaves_of(t.root)) == list(range(5000))
     text = cotree_to_text(t)
     assert cotree_to_text(cotree_from_text(text)) == text
     assert cotree_to_json(t).count('"vertex"') == 5000
+    encoded = cotree_to_json(t)
+    assert cotree_to_json(cotree_from_json(encoded)) == encoded
 
 
 def test_check_cotree_rejects_repeated_labels_in_cotree():

@@ -69,6 +69,15 @@ def test_parse_graph6_rejects_bad_bytes():
         parse_graph6("")
 
 
+def test_parse_graph6_rejects_non_ascii():
+    # an ASCII encoding with replacement would read "é" as "?", the byte of a
+    # zero bit group, and decode "Cé" as the empty graph on 4 vertices
+    with pytest.raises(GraphFormatError):
+        parse_graph6("Cé")
+    with pytest.raises(GraphFormatError):
+        parse_graph6("\u00c3~")
+
+
 def test_graph6_round_trip():
     rng = random.Random(0)
     for _ in range(50):
