@@ -9,7 +9,7 @@ from .certificate import (
     BoxCertificate,
     box_cograph_failure,
     certify_non_colourable,
-    find_box_cograph,
+    read_obstruction,
     verify_box_cograph,
 )
 from .cotree import (
@@ -30,10 +30,8 @@ from .cotree import (
 from .ferrers import (
     FerrersRepresentation,
     build_ferrers,
-    build_ferrers_fast,
     build_ferrers_naive,
     read_colouring,
-    read_obstruction,
     render_ascii,
     render_svg,
     validate_ferrers,
@@ -69,14 +67,11 @@ from .sequences import (
     cochromatic_number,
     conjugate,
     entrywise_add,
-    extract_colouring,
     is_kl_colourable,
     kappa_at,
     kappa_hat,
-    kappa_hat_fast,
     kappa_hat_naive,
     lambda_hat,
-    lambda_hat_fast,
     lambda_hat_naive,
     star_merge,
     validate_colouring,

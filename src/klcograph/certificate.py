@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .cotree import Cotree, P4Witness, build_cotree
+from .ferrers import FerrersRepresentation, _tall_columns, build_ferrers, read_colouring
 from .graphs import Graph, VertexSet, induced_subgraph
-from .sequences import KLColouring, PartitionSequence
+from .sequences import KLColouring, PartitionSequence, kappa_hat
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,12 @@ class BoxCertificate:
             )
 
 
-def find_box_cograph(t: Cotree, k: int, l: int) -> BoxCertificate:
-    """Induced box cograph of dimension k times l; requires that the graph is
-    not (k-1,l-1)-colourable."""
-    from .ferrers import build_ferrers, read_obstruction
-
-    return read_obstruction(build_ferrers(t), k - 1, l - 1)
+def read_obstruction(f: FerrersRepresentation, k: int, l: int) -> BoxCertificate:
+    """Top (k+1) cells of the leftmost (l+1) tall columns certify failure."""
+    if _tall_columns(f, k, l) <= l:
+        raise ValueError(f"graph is ({k},{l})-colourable: no obstruction")
+    vertices = frozenset(v for row in f.rows[: k + 1] for v in row[: l + 1])
+    return BoxCertificate(vertices, k + 1, l + 1)
 
 
 def box_cograph_failure(g: Graph, cert: BoxCertificate) -> str | None:
@@ -51,8 +52,6 @@ def box_cograph_failure(g: Graph, cert: BoxCertificate) -> str | None:
     built = build_cotree(sub)
     if isinstance(built, P4Witness):
         return "not-a-cograph"
-    from .sequences import kappa_hat
-
     if kappa_hat(built) != PartitionSequence.constant(cert.k, cert.l):
         return "kappa-not-constant"
     return None
@@ -68,17 +67,7 @@ def certify_non_colourable(
 ) -> Union[KLColouring, BoxCertificate]:
     """Either an explicit (k,l)-colouring or a (k+1)x(l+1) obstruction, both
     read off one Ferrers diagram."""
-    from .ferrers import (
-        _require_natural,
-        build_ferrers,
-        read_colouring,
-        read_obstruction,
-    )
-
-    _require_natural(k, l)
     f = build_ferrers(t)
-    # row k holds one cell per column taller than k
-    tall = len(f.rows[k]) if k < len(f.rows) else 0
-    if tall <= l:
+    if _tall_columns(f, k, l) <= l:
         return read_colouring(f, k, l)
     return read_obstruction(f, k, l)

@@ -14,7 +14,7 @@ import sys
 import time
 from typing import Sequence
 
-from .certificate import BoxCertificate, certify_non_colourable, find_box_cograph
+from .certificate import BoxCertificate, certify_non_colourable
 from .cotree import (
     Cotree,
     P4Witness,
@@ -22,13 +22,7 @@ from .cotree import (
     cotree_to_json,
     cotree_to_text,
 )
-from .ferrers import (
-    build_ferrers,
-    build_ferrers_fast,
-    build_ferrers_naive,
-    render_ascii,
-    render_svg,
-)
+from .ferrers import build_ferrers, build_ferrers_naive, render_ascii, render_svg
 from .generate import deep_alternating_cotree, random_cotree
 from .graphs import Graph, GraphFormatError, parse_edge_list, parse_graph6
 from .oracle import (
@@ -41,12 +35,10 @@ from .sequences import (
     KLColouring,
     bichromatic_number,
     cochromatic_number,
-    is_kl_colourable,
+    kappa_at,
     kappa_hat,
-    kappa_hat_fast,
     kappa_hat_naive,
     lambda_hat,
-    lambda_hat_naive,
 )
 
 EXIT_OK = 0
@@ -74,11 +66,12 @@ def _p4_payload(g: Graph, w: P4Witness) -> str:
 
 def _cert_payload(g: Graph, cert: BoxCertificate) -> str:
     vs = sorted(cert.vertices)
-    members = frozenset(vs)
+    # the order of filtering g.edges(), scanning only the certificate's vertices
     edges = [
         [g.label(u), g.label(v)]
-        for u, v in g.edges()
-        if u in members and v in members
+        for u in vs
+        for v in g.adj[u]
+        if v > u and v in cert.vertices
     ]
     return json.dumps(
         {
@@ -128,23 +121,20 @@ def _cmd_sequence(args: argparse.Namespace, which: str) -> int:
         fn = kappa_hat_oracle if which == "kappa" else lambda_hat_oracle
         print(fn(g, budget).to_text())
         return EXIT_OK
-    t = _need_cotree(g)
-    if which == "kappa":
-        seq = kappa_hat_naive(t) if args.naive else kappa_hat_fast(t)
-    else:
-        seq = lambda_hat_naive(t) if args.naive else lambda_hat(t)
-    print(seq.to_text())
+    fn = kappa_hat if which == "kappa" else lambda_hat
+    print(fn(_need_cotree(g)).to_text())
     return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     t = _need_cotree(g)
-    if is_kl_colourable(kappa_hat(t), args.k, args.l):
-        print(json.dumps({"colourable": True, "k": args.k, "l": args.l}))
-        return EXIT_OK
-    print(_cert_payload(g, find_box_cograph(t, args.k + 1, args.l + 1)))
-    return EXIT_NEGATIVE
+    result = certify_non_colourable(t, args.k, args.l)
+    if isinstance(result, BoxCertificate):
+        print(_cert_payload(g, result))
+        return EXIT_NEGATIVE
+    print(json.dumps({"colourable": True, "k": args.k, "l": args.l}))
+    return EXIT_OK
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -180,10 +170,10 @@ def cmd_params(args: argparse.Namespace) -> int:
     print(
         json.dumps(
             {
-                "chi": seq[0] if len(seq) else 0,
+                "chi": kappa_at(seq, 0),
                 "theta": len(seq),
-                "bichromatic": bichromatic_number(seq) if len(seq) else 0,
-                "cochromatic": cochromatic_number(seq) if len(seq) else 0,
+                "bichromatic": bichromatic_number(seq),
+                "cochromatic": cochromatic_number(seq),
             }
         )
     )
@@ -200,9 +190,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             else:
                 t = random_cotree(n, rng)
             if args.algorithm == "kappa":
-                naive_fn, fast_fn = kappa_hat_naive, kappa_hat_fast
+                naive_fn, fast_fn = kappa_hat_naive, kappa_hat
             else:
-                naive_fn, fast_fn = build_ferrers_naive, build_ferrers_fast
+                naive_fn, fast_fn = build_ferrers_naive, build_ferrers
             t0 = time.perf_counter()
             naive_out = naive_fn(t)
             t1 = time.perf_counter()
@@ -247,9 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("kappa", "lambda"):
         p = sub.add_parser(name, help=f"print the {name} sequence")
         add_input(p)
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--naive", action="store_true")
-        mode.add_argument(
+        p.add_argument(
             "--oracle", action="store_true",
             help="brute force; works on non-cographs within the budget",
         )

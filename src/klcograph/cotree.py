@@ -109,10 +109,6 @@ def _fill_sizes(root: CotreeNode) -> None:
         node.size = 1 if node.is_leaf else sum(c.size for c in node.children)
 
 
-def leaves_of(node: CotreeNode) -> list[int]:
-    return [x.vertex for x in postorder(node) if x.is_leaf]
-
-
 # Both searches below pop the frontier one vertex at a time, which shrinks the
 # set of vertices not yet reached as they go.  Once the frontier holds four
 # times as many vertices as that set, each of those vertices is instead tested

@@ -4,13 +4,14 @@ Vertices are placed on a staircase grid so that every row is an independent
 set and every column induces a clique.  Column heights read off the kappa
 sequence, row lengths the lambda sequence.
 
-Two builders: a naive one that re-sorts whole representations at every tree
-node, and a run-list one that keeps the columns and the rows of each subtree
-as run-length lists of lines.  Columns follow the kappa operators and rows
-the lambda operators, each merged into the child with the most leaves, for
+``build_ferrers`` keeps the columns and the rows of each subtree as
+run-length lists of lines.  Columns follow the kappa operators and rows the
+lambda operators, each merged into the child with the most leaves, for
 O(n log n) total work; a vertex's cell is (its row's index, its column's
-index).  Both produce the same grid cell for cell: concatenation order is the
-children's order, and sorting by size is stable.
+index).  ``build_ferrers_naive``, which re-sorts whole representations at
+every tree node, is the reference: the two produce the same grid cell for
+cell, since concatenation order is the children's order and sorting by size
+is stable.  Colourings are read off the rows of the diagram.
 """
 
 from __future__ import annotations
@@ -18,18 +19,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Iterator
 from xml.sax.saxutils import escape
 
-from .certificate import BoxCertificate
 from .cotree import Cotree, CotreeNode, postorder
 from .graphs import Graph
-from .sequences import (
-    KLColouring,
-    PartitionSequence,
-    kappa_hat,
-    lambda_hat,
-)
+from .sequences import KLColouring, PartitionSequence, lambda_hat
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,7 @@ def _lines(runs: list) -> Iterator[list[int]]:
     return (line for _, lines in runs for line in lines)
 
 
-def build_ferrers_fast(t: Cotree) -> FerrersRepresentation:
+def build_ferrers(t: Cotree) -> FerrersRepresentation:
     """One post-order pass; each node merges its children into the largest one.
 
     0-nodes star-merge the column runs and add the row runs, 1-nodes the
@@ -189,11 +185,6 @@ def build_ferrers_fast(t: Cotree) -> FerrersRepresentation:
             row[col_of[v]] = v
         grid.append(tuple(row))
     return FerrersRepresentation(tuple(grid), t.labels)
-
-
-def build_ferrers(t: Cotree) -> FerrersRepresentation:
-    """Ferrers diagram representation of the represented cograph."""
-    return build_ferrers_fast(t)
 
 
 # --- validation ------------------------------------------------------------
@@ -267,43 +258,28 @@ def validate_ferrers_against_cotree(t: Cotree, f: FerrersRepresentation) -> bool
 # --- read-offs -------------------------------------------------------------
 
 
-def _require_natural(k: int, l: int) -> None:
-    """Raise ValueError unless both colouring parameters are at least 0."""
+def _tall_columns(f: FerrersRepresentation, k: int, l: int) -> int:
+    """Number of columns taller than k: the length of row k, 0 past the last
+    row.  Raise ValueError unless both colouring parameters are at least 0."""
     if k < 0 or l < 0:
         raise ValueError("k and l must be natural numbers")
+    return len(f.rows[k]) if k < len(f.rows) else 0
 
 
 def read_colouring(f: FerrersRepresentation, k: int, l: int) -> KLColouring:
     """Tall columns become clique parts, remaining row segments independent parts."""
-    _require_natural(k, l)
-    cols = f.columns
-    tall = [c for c in cols if len(c) > k]
-    if len(tall) > l:
+    tall = _tall_columns(f, k, l)
+    if tall > l:
         raise ValueError(
-            f"not ({k},{l})-colourable: {len(tall)} columns are taller than {k}"
+            f"not ({k},{l})-colourable: {tall} columns are taller than {k}"
         )
-    t = len(tall)
-    independent = []
-    for r, row in enumerate(f.rows):
-        if r >= k:
-            break
-        rest = row[t:]
-        if rest:
-            independent.append(frozenset(rest))
-    return KLColouring(
-        tuple(independent), tuple(frozenset(c) for c in tall)
+    rows = f.rows
+    independent = tuple(frozenset(row[tall:]) for row in rows[:k] if len(row) > tall)
+    cliques = tuple(
+        frozenset(row[j] for row in takewhile(lambda row: len(row) > j, rows))
+        for j in range(tall)
     )
-
-
-def read_obstruction(f: FerrersRepresentation, k: int, l: int) -> BoxCertificate:
-    """Top (k+1) cells of the leftmost (l+1) tall columns certify failure."""
-    _require_natural(k, l)
-    cols = f.columns
-    tall = sum(1 for c in cols if len(c) > k)
-    if tall <= l:
-        raise ValueError(f"graph is ({k},{l})-colourable: no obstruction")
-    vertices = frozenset(v for c in cols[: l + 1] for v in c[: k + 1])
-    return BoxCertificate(vertices, k + 1, l + 1)
+    return KLColouring(independent, cliques)
 
 
 # --- rendering -------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .cotree import Cotree, CotreeNode, _fill_sizes
+from .cotree import Cotree, CotreeNode, _fill_sizes, postorder
 
 
 def random_cotree(
@@ -55,8 +55,6 @@ def deep_alternating_cotree(n: int, top_label: int = 0) -> Cotree:
 
 
 def _renumber_leaves(root: CotreeNode) -> None:
-    from .cotree import postorder
-
     counter = 0
     for node in postorder(root):
         if node.is_leaf:

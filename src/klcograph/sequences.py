@@ -1,10 +1,12 @@
 """Non-increasing integer sequences and the bottom-up colouring calculus.
 
-Two engines compute the minimum-independent-parts sequence of a cograph,
-each in one post-order pass over the cotree: a plain-array traversal, and a
-run-length-encoded variant that merges every child's sequence into the
-sequence of the child with the most leaves (small-to-large).  Both are kept
-and cross-checked by the tests.
+``kappa_hat`` computes the minimum-independent-parts sequence of a cograph
+in one post-order pass over the cotree, on run-length lists, merging every
+child's sequence into the sequence of the child with the most leaves
+(small-to-large); ``lambda_hat`` is its conjugate.  The plain-array
+traversals ``kappa_hat_naive`` and ``lambda_hat_naive`` are the references
+that the tests and benchmarks compare against; the latter swaps the two
+operators, so it checks the conjugacy on the cotree side.
 """
 
 from __future__ import annotations
@@ -164,23 +166,22 @@ def cochromatic_number(s: PartitionSequence) -> int:
 
 def kappa_hat_naive(t: Cotree) -> PartitionSequence:
     """Plain-array traversal: concatenate-and-sort at 0-nodes, add at 1-nodes."""
-    return PartitionSequence(_naive_values(t.root, swap=False))
+    return PartitionSequence(_naive_values(t.root, star_label=0))
 
 
 def lambda_hat_naive(t: Cotree) -> PartitionSequence:
-    """Same traversal with the two operators swapped."""
-    return PartitionSequence(_naive_values(t.root, swap=True))
+    """Same traversal with the two operators swapped; conjugate to kappa."""
+    return PartitionSequence(_naive_values(t.root, star_label=1))
 
 
-def _naive_values(root: CotreeNode, swap: bool) -> list[int]:
+def _naive_values(root: CotreeNode, star_label: int) -> list[int]:
     vals: dict[CotreeNode, list[int]] = {}
     for node in postorder(root):
         if node.is_leaf:
             vals[node] = [1]
             continue
         parts = [vals.pop(c) for c in node.children]
-        star = (node.label == 0) != swap
-        if star:
+        if node.label == star_label:
             merged: list[int] = []
             for part in parts:
                 merged += part
@@ -238,7 +239,13 @@ def _rle_add_into(big: list[list[int]], small: list[list[int]]) -> None:
     big[:bi] = new
 
 
-def _fast_rle(t: Cotree, swap: bool) -> list[list[int]]:
+def kappa_hat(t: Cotree) -> PartitionSequence:
+    """Kappa sequence of the represented cograph; first entry is its chromatic
+    number, length its clique cover number.
+
+    One post-order pass over run lists; each node merges its children into
+    the child with the most leaves.
+    """
     results: dict[CotreeNode, list[list[int]]] = {}
     for node in postorder(t.root):
         if node.is_leaf:
@@ -246,36 +253,17 @@ def _fast_rle(t: Cotree, swap: bool) -> list[list[int]]:
             continue
         largest = max(node.children, key=lambda c: c.size)
         acc = results.pop(largest)
-        merge = _rle_star_into if (node.label == 0) != swap else _rle_add_into
+        merge = _rle_star_into if node.label == 0 else _rle_add_into
         for child in node.children:
             if child is not largest:
                 merge(acc, results.pop(child))
         results[node] = acc
-    return results[t.root]
-
-
-def kappa_hat_fast(t: Cotree) -> PartitionSequence:
-    """Run-length variant; each node merges its children into the largest one."""
-    return PartitionSequence.from_runs(
-        (v, c) for v, c in _fast_rle(t, swap=False)
-    )
-
-
-def lambda_hat_fast(t: Cotree) -> PartitionSequence:
-    return PartitionSequence.from_runs(
-        (v, c) for v, c in _fast_rle(t, swap=True)
-    )
-
-
-def kappa_hat(t: Cotree) -> PartitionSequence:
-    """Kappa sequence of the represented cograph; first entry is its chromatic
-    number, length its clique cover number."""
-    return kappa_hat_fast(t)
+    return PartitionSequence.from_runs(results[t.root])
 
 
 def lambda_hat(t: Cotree) -> PartitionSequence:
-    """Lambda sequence, computed by the operator-swapped traversal."""
-    return lambda_hat_fast(t)
+    """Lambda sequence: the conjugate of kappa, as it is for every graph."""
+    return conjugate(kappa_hat(t))
 
 
 # --- explicit colourings ---------------------------------------------------
@@ -312,9 +300,3 @@ def validate_colouring(
         is_clique(g, p) for p in colouring.clique_parts
     )
 
-
-def extract_colouring(t: Cotree, k: int, l: int) -> KLColouring:
-    """Explicit (k,l)-colouring read off the Ferrers diagram representation."""
-    from .ferrers import build_ferrers, read_colouring
-
-    return read_colouring(build_ferrers(t), k, l)

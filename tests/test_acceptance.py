@@ -17,7 +17,6 @@ from klcograph import (
     box_cograph_dimension,
     build_cotree,
     build_ferrers,
-    build_ferrers_fast,
     build_ferrers_naive,
     certify_non_colourable,
     complement,
@@ -29,7 +28,6 @@ from klcograph import (
     is_kl_colourable,
     is_kl_colourable_oracle,
     kappa_hat,
-    kappa_hat_fast,
     kappa_hat_naive,
     kappa_hat_oracle,
     lambda_hat,
@@ -108,7 +106,7 @@ def test_criterion_4_vertex_sum():
     for _ in range(500):
         n = rng.randint(1, 2000)
         t = random_cotree(n, rng)
-        ok &= kappa_hat_fast(t).total == n
+        ok &= kappa_hat(t).total == n
     ok &= time.perf_counter() - start < 30.0
     report(4, "kappa entries sum to vertex count", ok)
 
@@ -121,10 +119,10 @@ def test_criterion_5_kappa_variants_agree():
         g = evaluate_cotree(t)
         oracle = kappa_hat_oracle(g)
         ok &= kappa_hat_naive(t) == oracle
-        ok &= kappa_hat_fast(t) == oracle
+        ok &= kappa_hat(t) == oracle
     for n in (1000, 10_000, 100_000):
         t = random_cotree(n, rng)
-        ok &= kappa_hat_naive(t) == kappa_hat_fast(t)
+        ok &= kappa_hat_naive(t) == kappa_hat(t)
     report(5, "kappa variants agree", ok)
 
 
@@ -164,7 +162,7 @@ def test_criterion_7_ferrers_representations_valid():
     for _ in range(500):
         n = rng.randint(1, 2000)
         t = random_cotree(n, rng)
-        fast = build_ferrers_fast(t)
+        fast = build_ferrers(t)
         naive = build_ferrers_naive(t)
         ok &= fast.rows == naive.rows
         ok &= fast.n == n
@@ -211,7 +209,7 @@ def test_criterion_8_growth_rates():
     checks = []  # (passed, what was measured)
     # fast variants: linearithmic envelope on random cotrees
     trees = {exp: random_cotree(2**exp, seed=exp) for exp in (13, 14, 15, 16)}
-    for fn in (kappa_hat_fast, build_ferrers_fast):
+    for fn in (kappa_hat, build_ferrers):
         for exp in (13, 14, 15):
             ratio = _doubling_ratio(fn, trees[exp], trees[exp + 1])
             checks.append((

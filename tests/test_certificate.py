@@ -8,14 +8,15 @@ from klcograph import (
     box_cograph_dimension,
     box_cograph_failure,
     build_cotree,
+    build_ferrers,
     certify_non_colourable,
     evaluate_cotree,
-    find_box_cograph,
     induced_subgraph,
     is_kl_colourable,
     kappa_hat,
     kappa_hat_oracle,
     random_cotree,
+    read_obstruction,
     validate_colouring,
     verify_box_cograph,
 )
@@ -42,7 +43,7 @@ def test_certify_rejects_negative_parameters():
 def test_find_box_cograph_in_union_of_cliques():
     g = l_copies_of_k_clique(2, 3)
     t = build_cotree(g)
-    cert = find_box_cograph(t, 3, 2)
+    cert = read_obstruction(build_ferrers(t), 2, 1)
     assert cert.vertices == frozenset(range(6))
     assert verify_box_cograph(g, cert)
 
@@ -50,7 +51,7 @@ def test_find_box_cograph_in_union_of_cliques():
 def test_find_box_cograph_requires_obstruction_to_exist():
     t = build_cotree(complete_graph(3))
     with pytest.raises(ValueError):
-        find_box_cograph(t, 4, 1)
+        read_obstruction(build_ferrers(t), 3, 0)
 
 
 def test_failure_reason_codes():

@@ -1,16 +1,28 @@
 import contextlib
 import io
 import json
+import random
 import sys
 
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from klcograph import Graph, P4Witness, parse_edge_list, parse_graph6
+from klcograph import (
+    Graph,
+    P4Witness,
+    build_cotree,
+    evaluate_cotree,
+    kappa_hat,
+    kappa_hat_naive,
+    lambda_hat_naive,
+    parse_edge_list,
+    parse_graph6,
+    random_cotree,
+)
 from klcograph.cli import main
 
-from helpers import EXAMPLE_7, encode_graph6
+from helpers import EXAMPLE_7, encode_graph6, l_copies_of_k_clique
 
 
 def run(capsys, *argv):
@@ -90,10 +102,30 @@ def test_kappa_and_lambda_outputs(capsys, k3_file):
     assert (code, out.strip()) == (0, "1,1,1")
 
 
-def test_kappa_naive_flag_agrees(capsys, k3_file):
-    _, fast, _ = run(capsys, "kappa", k3_file)
-    _, naive, _ = run(capsys, "kappa", k3_file, "--naive")
-    assert fast == naive
+def test_kappa_naive_flag_is_rejected(capsys, k3_file):
+    for command in ("kappa", "lambda"):
+        code, out, _ = run(capsys, command, k3_file, "--naive")
+        assert (code, out) == (2, "")
+
+
+def _write_edges(tmp_path, name, g):
+    p = tmp_path / name
+    p.write_text(f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    return str(p)
+
+
+def _random_cographs(seed, count, max_n):
+    rng = random.Random(seed)
+    return [evaluate_cotree(random_cotree(rng.randint(1, max_n), rng)) for _ in range(count)]
+
+
+def test_sequence_text_matches_naive_references(capsys, tmp_path):
+    for i, g in enumerate(_random_cographs(31, 20, 30)):
+        path = _write_edges(tmp_path, f"g{i}.txt", g)
+        t = build_cotree(g)
+        for command, reference in (("kappa", kappa_hat_naive), ("lambda", lambda_hat_naive)):
+            code, out, _ = run(capsys, command, path)
+            assert (code, out) == (0, reference(t).to_text() + "\n")
 
 
 def test_kappa_oracle_handles_non_cograph(capsys, p4_file):
@@ -119,6 +151,38 @@ def test_check_not_colourable_emits_certificate(capsys, k3_file):
     payload = json.loads(out)
     assert payload["k"] == 3 and payload["l"] == 1
     assert payload["vertices"] == ["0", "1", "2"]
+
+
+def test_check_and_certify_agree(capsys, tmp_path):
+    graphs = _random_cographs(32, 6, 16) + [l_copies_of_k_clique(3, 4)]
+    for i, g in enumerate(graphs):
+        path = _write_edges(tmp_path, f"g{i}.txt", g)
+        for k in range(5):
+            for l in range(5):
+                argv = (path, "-k", str(k), "-l", str(l))
+                check = run(capsys, "check", *argv)
+                certify = run(capsys, "certify", *argv)
+                assert check[0] == certify[0] in (0, 1)
+                if check[0] == 1:
+                    assert check[1] == certify[1]
+                else:
+                    assert json.loads(check[1]) == {"colourable": True, "k": k, "l": l}
+
+
+def test_certificate_edges_are_the_filtered_edge_list(capsys, tmp_path):
+    for i, g in enumerate(_random_cographs(33, 30, 40)):
+        path = _write_edges(tmp_path, f"g{i}.txt", g)
+        kappa = kappa_hat(build_cotree(g))
+        l = i % len(kappa)
+        argv = (path, "-k", str(kappa[l] - 1), "-l", str(l))
+        for command in ("check", "certify"):
+            code, out, _ = run(capsys, command, *argv)
+            assert code == 1
+            payload = json.loads(out)
+            members = {int(v) for v in payload["vertices"]}
+            assert payload["induced_edges"] == [
+                [str(u), str(v)] for u, v in g.edges() if u in members and v in members
+            ]
 
 
 def test_certify_emits_colouring_when_feasible(capsys, k3_file):
@@ -168,6 +232,14 @@ def test_params_cograph_and_oracle(capsys, k3_file, tmp_path):
         "bichromatic": 4,
         "cochromatic": 3,
     }
+
+
+def test_params_oracle_on_empty_graph(capsys, tmp_path):
+    p = tmp_path / "empty.txt"
+    p.write_text("0\n")
+    code, out, _ = run(capsys, "params", str(p), "--oracle")
+    assert code == 0
+    assert json.loads(out) == {"chi": 0, "theta": 0, "bichromatic": 0, "cochromatic": 0}
 
 
 def test_bench_csv_shape(capsys):

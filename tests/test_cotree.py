@@ -21,7 +21,7 @@ from klcograph import (
     find_p4,
     random_cotree,
 )
-from klcograph.cotree import leaves_of, postorder
+from klcograph.cotree import postorder
 
 from helpers import (
     complete_graph,
@@ -247,7 +247,7 @@ def test_json_reader_matches_json_loads():
 
 def test_deep_tree_does_not_hit_recursion_limit():
     t = deep_alternating_cotree(5000)
-    assert sorted(leaves_of(t.root)) == list(range(5000))
+    assert sorted(x.vertex for x in postorder(t.root) if x.is_leaf) == list(range(5000))
     text = cotree_to_text(t)
     assert cotree_to_text(cotree_from_text(text)) == text
     assert cotree_to_json(t).count('"vertex"') == 5000

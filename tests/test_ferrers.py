@@ -4,9 +4,9 @@ import pytest
 
 from klcograph import (
     BoxCertificate,
+    KLColouring,
     build_cotree,
     build_ferrers,
-    build_ferrers_fast,
     build_ferrers_naive,
     complement_cotree,
     conjugate,
@@ -75,7 +75,7 @@ def test_naive_and_fast_agree_cell_for_cell():
     ]
     trees += [complement_cotree(t) for t in trees[:100]]
     for t in trees:
-        assert build_ferrers_naive(t).rows == build_ferrers_fast(t).rows
+        assert build_ferrers_naive(t).rows == build_ferrers(t).rows
 
 
 def test_validators_accept_built_representations():
@@ -125,6 +125,43 @@ def test_read_obstruction_valid_whenever_infeasible():
                 cert = read_obstruction(f, k, l)
                 assert isinstance(cert, BoxCertificate)
                 assert verify_box_cograph(g, cert)
+
+
+def _column_colouring(f, k, l):
+    """read_colouring as first written, on f.columns."""
+    tall = [c for c in f.columns if len(c) > k]
+    if len(tall) > l:
+        return None
+    rows = [frozenset(row[len(tall):]) for row in f.rows[:k]]
+    return KLColouring(
+        tuple(r for r in rows if r), tuple(frozenset(c) for c in tall)
+    )
+
+
+def _column_obstruction(f, k, l):
+    """read_obstruction as first written, on f.columns."""
+    cols = f.columns
+    if sum(1 for c in cols if len(c) > k) <= l:
+        return None
+    vertices = frozenset(v for c in cols[: l + 1] for v in c[: k + 1])
+    return BoxCertificate(vertices, k + 1, l + 1)
+
+
+def test_read_offs_match_column_formulas():
+    rng = random.Random(47)
+    trees = [random_cotree(rng.randint(1, 60), rng) for _ in range(60)]
+    trees += wide_and_tied_cotrees(48, 60)
+    for t in trees:
+        f = build_ferrers(t)
+        for k in range(5):
+            for l in range(5):
+                colouring = _column_colouring(f, k, l)
+                obstruction = _column_obstruction(f, k, l)
+                assert (colouring is None) != (obstruction is None)
+                if colouring is not None:
+                    assert read_colouring(f, k, l) == colouring
+                else:
+                    assert read_obstruction(f, k, l) == obstruction
 
 
 def test_preconditions_are_complementary():

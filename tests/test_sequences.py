@@ -8,23 +8,23 @@ from klcograph import (
     PartitionSequence,
     bichromatic_number,
     build_cotree,
+    build_ferrers,
     cochromatic_number,
     complement,
     complement_cotree,
     conjugate,
     cotree_from_text,
+    deep_alternating_cotree,
     entrywise_add,
     evaluate_cotree,
-    extract_colouring,
     is_kl_colourable,
     kappa_at,
     kappa_hat,
-    kappa_hat_fast,
     kappa_hat_naive,
     lambda_hat,
-    lambda_hat_fast,
     lambda_hat_naive,
     random_cotree,
+    read_colouring,
     star_merge,
     validate_colouring,
 )
@@ -128,7 +128,7 @@ def test_kappa_at_zero_beyond_length():
 def test_kappa_hat_of_single_leaf():
     t = cotree_from_text("0")
     assert kappa_hat_naive(t) == PartitionSequence([1])
-    assert kappa_hat_fast(t) == PartitionSequence([1])
+    assert kappa_hat(t) == PartitionSequence([1])
 
 
 def test_kappa_hat_of_l_copies_of_k_clique():
@@ -145,13 +145,23 @@ def test_naive_and_fast_agree_with_conjugate_duality():
     trees += wide_and_tied_cotrees(14, 200)
     for t in trees:
         kn = kappa_hat_naive(t)
-        kf = kappa_hat_fast(t)
+        kf = kappa_hat(t)
         ln = lambda_hat_naive(t)
-        lf = lambda_hat_fast(t)
+        lf = lambda_hat(t)
         assert kn == kf
         assert ln == lf
         assert conjugate(kn) == ln
         assert kn.total == t.n
+
+
+def test_lambda_matches_operator_swapped_traversal_on_deep_trees():
+    # lambda_hat is conjugate(kappa_hat); the naive traversal with the two
+    # operators swapped checks the conjugacy theorem on the cotree side
+    sizes = list(range(1, 34)) + [2**e for e in range(6, 11)]
+    for n in sizes:
+        for top in (0, 1):
+            t = deep_alternating_cotree(n, top)
+            assert lambda_hat(t) == lambda_hat_naive(t), (n, top)
 
 
 def test_kappa_of_complement_is_lambda():
@@ -178,11 +188,11 @@ def test_extract_colouring_valid_for_all_feasible_parameters():
         kh = kappa_hat(t)
         for l in range(len(kh) + 2):
             k = kappa_at(kh, l)
-            col = extract_colouring(t, k, l)
+            col = read_colouring(build_ferrers(t), k, l)
             assert validate_colouring(g, col, k, l)
 
 
 def test_extract_colouring_rejects_infeasible_parameters():
     t = build_cotree(l_copies_of_k_clique(2, 3))
     with pytest.raises(ValueError):
-        extract_colouring(t, 1, 1)
+        read_colouring(build_ferrers(t), 1, 1)
