@@ -229,6 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="edge-list (default) or graph6",
         )
 
+    def add_oracle(p: argparse.ArgumentParser, oracle_help: str | None = None) -> None:
+        p.add_argument("--oracle", action="store_true", help=oracle_help)
+        p.add_argument("--budget", type=int, default=12)
+
     p = sub.add_parser("recognize", help="build the cotree or report a P4")
     add_input(p)
     p.add_argument("--json", action="store_true", help="emit the cotree as JSON")
@@ -237,11 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("kappa", "lambda"):
         p = sub.add_parser(name, help=f"print the {name} sequence")
         add_input(p)
-        p.add_argument(
-            "--oracle", action="store_true",
-            help="brute force; works on non-cographs within the budget",
-        )
-        p.add_argument("--budget", type=int, default=12)
+        add_oracle(p, "brute force; works on non-cographs within the budget")
         p.set_defaults(fn=lambda a, which=name: _cmd_sequence(a, which))
 
     p = sub.add_parser("check", help="decide (k,l)-colourability")
@@ -268,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="chi, theta, bichromatic, cochromatic")
     add_input(p)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--budget", type=int, default=12)
+    add_oracle(p)
     p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("bench", help="naive vs fast timing table (CSV)")

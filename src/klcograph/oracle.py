@@ -1,8 +1,11 @@
 """Exhaustive ground truth for small graphs.
 
 Everything here works on vertex bitmasks of a fixed parent graph, with
-per-invocation memo tables.  Results are exact; exceeding the vertex budget
-is an error, never an approximation.
+per-invocation memo tables.  One engine computes chi and kappa; built on the
+complement's masks, the same engine gives the clique cover number and
+lambda, since a (k,l)-colouring of G is by definition an (l,k)-colouring of
+its complement.  Results are exact; exceeding the vertex budget is an error,
+never an approximation.
 """
 
 from __future__ import annotations
@@ -10,8 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, complement
+from .graphs import Graph
 from .sequences import PartitionSequence
+
+# A graph has at most 3^(n/3) maximal cliques (Moon & Moser 1965), so this
+# guard can only trip at n >= 38.
+_MAX_CLIQUES_ENUMERATED = 1_000_000
 
 
 class BudgetExceededError(ValueError):
@@ -21,7 +28,6 @@ class BudgetExceededError(ValueError):
 @dataclass(frozen=True)
 class OracleBudget:
     max_vertices: int = 12
-    max_cliques_enumerated: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.max_vertices < 1:
@@ -31,25 +37,16 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-def _check_budget(g: Graph, budget: OracleBudget) -> None:
-    if g.n > budget.max_vertices:
-        raise BudgetExceededError(
-            f"graph has {g.n} vertices, budget allows {budget.max_vertices}"
-        )
+def _check_natural(*values: int) -> None:
+    if any(v < 0 for v in values):
+        raise ValueError("k and l must be natural numbers")
 
 
 def _adj_masks(g: Graph) -> list[int]:
     return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
 
 
-def _co_masks(g: Graph) -> list[int]:
-    full = (1 << g.n) - 1
-    return [full & ~m & ~(1 << v) for v, m in enumerate(_adj_masks(g))]
-
-
-def _maximal_cliques(
-    adj: list[int], mask: int, limit: int | None = None
-) -> Iterator[int]:
+def _maximal_cliques(adj: list[int], mask: int) -> Iterator[int]:
     """Bron-Kerbosch with pivoting, restricted to the vertices in ``mask``."""
     count = 0
 
@@ -57,7 +54,7 @@ def _maximal_cliques(
         nonlocal count
         if p == 0 and x == 0:
             count += 1
-            if limit is not None and count > limit:
+            if count > _MAX_CLIQUES_ENUMERATED:
                 raise BudgetExceededError("maximal clique enumeration limit hit")
             yield r
             return
@@ -84,18 +81,15 @@ def _maximal_cliques(
 
 
 class _Engine:
-    """Memoized exact computations over one fixed graph."""
+    """Memoized exact chi and kappa over one fixed graph, given by the
+    adjacency masks of the graph and of its complement."""
 
-    def __init__(self, g: Graph, budget: OracleBudget) -> None:
-        _check_budget(g, budget)
-        self.n = g.n
-        self.budget = budget
-        self.adj = _adj_masks(g)
-        self.co = _co_masks(g)
+    def __init__(self, adj: list[int], co: list[int]) -> None:
+        self.n = len(adj)
+        self.adj = adj
+        self.co = co
         self._chi: dict[int, int] = {0: 0}
-        self._theta: dict[int, int] = {0: 0}
         self._kappa: dict[tuple[int, int], int] = {}
-        self._lamb: dict[tuple[int, int], int] = {}
 
     def chi(self, mask: int) -> int:
         """Chromatic number of the induced subgraph, by removing maximal
@@ -105,15 +99,15 @@ class _Engine:
             return known
         low = mask & -mask
         best = self.n + 1
-        for ind in _maximal_cliques(
-            self.co, mask, self.budget.max_cliques_enumerated
-        ):
+        for ind in _maximal_cliques(self.co, mask):
             if ind & low:
                 best = min(best, 1 + self.chi(mask & ~ind))
         self._chi[mask] = best
         return best
 
     def kappa(self, mask: int, l: int) -> int:
+        """Least k such that the induced subgraph is (k,l)-colourable, by
+        removing up to l maximal cliques."""
         if mask == 0:
             return 0
         if l == 0:
@@ -122,111 +116,66 @@ class _Engine:
         if known is not None:
             return known
         best = self.kappa(mask, l - 1)
-        for cl in _maximal_cliques(
-            self.adj, mask, self.budget.max_cliques_enumerated
-        ):
+        for cl in _maximal_cliques(self.adj, mask):
             best = min(best, self.kappa(mask & ~cl, l - 1))
         self._kappa[(mask, l)] = best
         return best
 
-    def theta(self, mask: int) -> int:
-        """Clique cover number of the induced subgraph (chromatic number of
-        its complement), by removing maximal cliques."""
-        known = self._theta.get(mask)
-        if known is not None:
-            return known
-        low = mask & -mask
-        best = self.n + 1
-        for cl in _maximal_cliques(
-            self.adj, mask, self.budget.max_cliques_enumerated
-        ):
-            if cl & low:
-                best = min(best, 1 + self.theta(mask & ~cl))
-        self._theta[mask] = best
-        return best
 
-    def lamb(self, mask: int, k: int) -> int:
-        """Minimum clique parts, by direct removal of maximal independent sets."""
-        if mask == 0:
-            return 0
-        if k == 0:
-            return self.theta(mask)
-        known = self._lamb.get((mask, k))
-        if known is not None:
-            return known
-        best = self.lamb(mask, k - 1)
-        for ind in _maximal_cliques(
-            self.co, mask, self.budget.max_cliques_enumerated
-        ):
-            best = min(best, self.lamb(mask & ~ind, k - 1))
-        self._lamb[(mask, k)] = best
-        return best
+def _engines(g: Graph, budget: OracleBudget) -> tuple[_Engine, _Engine]:
+    """The engine of g and the engine of its complement."""
+    if g.n > budget.max_vertices:
+        raise BudgetExceededError(
+            f"graph has {g.n} vertices, budget allows {budget.max_vertices}"
+        )
+    adj = _adj_masks(g)
+    full = (1 << g.n) - 1
+    co = [full & ~m & ~(1 << v) for v, m in enumerate(adj)]
+    return _Engine(adj, co), _Engine(co, adj)
+
+
+def _sequence(eng: _Engine) -> PartitionSequence:
+    """Entries ``eng.kappa(V, 0), eng.kappa(V, 1), ...`` up to the first 0."""
+    full = (1 << eng.n) - 1
+    out: list[int] = []
+    while k := eng.kappa(full, len(out)):
+        out.append(k)
+    return PartitionSequence(out)
 
 
 def chromatic_number_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    if g.n == 0:
-        return 0
-    return _Engine(g, budget).chi((1 << g.n) - 1)
+    return _engines(g, budget)[0].chi((1 << g.n) - 1)
 
 
 def kappa_oracle(g: Graph, l: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    if g.n == 0:
-        return 0
-    return _Engine(g, budget).kappa((1 << g.n) - 1, l)
+    _check_natural(l)
+    return _engines(g, budget)[0].kappa((1 << g.n) - 1, l)
 
 
 def kappa_hat_oracle(
     g: Graph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> PartitionSequence:
-    if g.n == 0:
-        return PartitionSequence()
-    eng = _Engine(g, budget)
-    full = (1 << g.n) - 1
-    out = []
-    l = 0
-    while True:
-        k = eng.kappa(full, l)
-        if k == 0:
-            break
-        out.append(k)
-        l += 1
-    return PartitionSequence(out)
+    return _sequence(_engines(g, budget)[0])
 
 
 def lambda_hat_oracle(
     g: Graph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> PartitionSequence:
-    """Lambda sequence via independent-set removal, cross-checked against the
-    kappa sequence of the complement."""
-    if g.n == 0:
-        return PartitionSequence()
-    eng = _Engine(g, budget)
-    full = (1 << g.n) - 1
-    out = []
-    k = 0
-    while True:
-        l = eng.lamb(full, k)
-        if l == 0:
-            break
-        out.append(l)
-        k += 1
-    direct = PartitionSequence(out)
-    via_complement = kappa_hat_oracle(complement(g), budget)
-    if direct != via_complement:  # pragma: no cover - internal consistency
-        raise AssertionError(
-            f"lambda computation paths disagree: {direct} vs {via_complement}"
-        )
-    return direct
+    """Lambda sequence: by definition lambda_k(G) = kappa_k(complement of G),
+    so this is the kappa engine run on the complement's masks."""
+    return _sequence(_engines(g, budget)[1])
 
 
 def is_kl_colourable_oracle(
     g: Graph, k: int, l: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
+    _check_natural(k, l)
     return kappa_oracle(g, l, budget) <= k
 
 
 def is_kl_colourable_exhaustive(g: Graph, k: int, l: int) -> bool:
     """Independent second route: raw search over part assignments (n <= 8)."""
+    _check_natural(k, l)
     if g.n > 8:
         raise BudgetExceededError("exhaustive partition search limited to n <= 8")
     adj = _adj_masks(g)
@@ -298,26 +247,20 @@ def box_cograph_dimension(
     """
     if g.n == 0:
         return None
-    _check_budget(g, budget)
-    eng = _Engine(g, budget)
-    adjs = (eng.adj, eng.co)
+    engs = _engines(g, budget)
     full = (1 << g.n) - 1
-
-    def chi_side(side: int, mask: int) -> int:
-        # chromatic number of the induced subgraph of g (side 0) or of its
-        # complement (side 1); the latter equals the clique cover number of g
-        return eng.chi(mask) if side == 0 else eng.theta(mask)
-
     memo: dict[tuple[int, int], bool] = {}
 
     def member(side: int, mask: int) -> bool:
+        # side 0 tests the induced subgraph of g, side 1 that of its complement
         if mask & (mask - 1) == 0:
             return True  # single vertex
         key = (side, mask)
         known = memo.get(key)
         if known is not None:
             return known
-        comps = _components_mask(adjs[side], mask)
+        eng = engs[side]
+        comps = _components_mask(eng.adj, mask)
         if len(comps) > 1:
             result = False
             # binary splits of the component set into two nonempty groups
@@ -331,23 +274,21 @@ def box_cograph_dimension(
                         b |= comps[i]
                 if b == 0:
                     continue
-                if chi_side(side, a) != chi_side(side, b):
+                if eng.chi(a) != eng.chi(b):
                     continue
                 if member(side, a) and member(side, b):
                     result = True
                     break
+        elif len(_components_mask(eng.co, mask)) > 1:
+            result = member(1 - side, mask)
         else:
-            other = 1 - side
-            if len(_components_mask(adjs[other], mask)) > 1:
-                result = member(other, mask)
-            else:
-                result = False  # connected in both: contains a P4
+            result = False  # connected in both: contains a P4
         memo[key] = result
         return result
 
     if not member(0, full):
         return None
-    return (eng.chi(full), eng.theta(full))
+    return (engs[0].chi(full), engs[1].chi(full))
 
 
 def is_box_cograph_oracle(

@@ -22,7 +22,7 @@ from klcograph import (
 )
 from klcograph.cli import main
 
-from helpers import EXAMPLE_7, encode_graph6, l_copies_of_k_clique
+from helpers import EXAMPLE_7, cycle_graph, encode_graph6, l_copies_of_k_clique
 
 
 def run(capsys, *argv):
@@ -137,6 +137,20 @@ def test_kappa_without_oracle_rejects_non_cograph(capsys, p4_file):
     code, out, _ = run(capsys, "kappa", p4_file)
     assert code == 1
     assert "p4" in json.loads(out)
+
+
+def test_lambda_oracle_on_non_cographs(capsys, tmp_path):
+    # C5 is self-complementary, so its lambda sequence equals its kappa sequence
+    for name, g, expected in (("c5", cycle_graph(5), "3,2,1"), ("ex7", EXAMPLE_7, "3,2,2")):
+        code, out, err = run(capsys, "lambda", _write_edges(tmp_path, f"{name}.txt", g), "--oracle")
+        assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_oracle_budget_flag_exits_two(capsys, tmp_path):
+    path = _write_edges(tmp_path, "c4.txt", cycle_graph(4))
+    code, out, err = run(capsys, "kappa", path, "--oracle", "--budget", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_check_colourable(capsys, k3_file):

@@ -19,8 +19,10 @@ from klcograph import (
     kappa_hat_oracle,
     kappa_oracle,
     lambda_hat_oracle,
+    oracle,
     random_cotree,
 )
+from klcograph.cli import main
 
 from helpers import (
     EXAMPLE_7,
@@ -66,6 +68,17 @@ def test_conjugacy_on_random_general_graphs():
         assert conjugate(kappa_hat_oracle(g)) == lambda_hat_oracle(g)
 
 
+def test_lambda_oracle_matches_exhaustive_partition_search():
+    # entry k is the least l with a (k,l)-colouring; just past the end it is 0
+    rng = random.Random(26)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 7), rng.random(), rng)
+        entries = lambda_hat_oracle(g).entries
+        for k in range(len(entries) + 1):
+            least = next(l for l in range(g.n + 1) if is_kl_colourable_exhaustive(g, k, l))
+            assert least == (entries[k] if k < len(entries) else 0)
+
+
 def test_colourability_routes_agree():
     rng = random.Random(22)
     for _ in range(60):
@@ -91,6 +104,33 @@ def test_budget_enforced():
         is_kl_colourable_exhaustive(empty_graph(9), 1, 1)
     # raising the budget lifts the limit
     assert chromatic_number_exact(empty_graph(13), OracleBudget(max_vertices=13)) == 1
+
+
+def test_negative_parameters_raise_value_error():
+    g = cycle_graph(5)
+    for call in (
+        lambda: kappa_oracle(g, -2),
+        lambda: is_kl_colourable_oracle(g, 1, -1),
+        lambda: is_kl_colourable_oracle(g, -1, 1),
+        lambda: is_kl_colourable_exhaustive(g, -1, 3),
+        lambda: is_kl_colourable_exhaustive(g, 3, -1),
+    ):
+        with pytest.raises(ValueError, match="k and l must be natural numbers"):
+            call()
+
+
+def test_clique_enumeration_limit(monkeypatch, capsys, tmp_path):
+    # four isolated vertices have four maximal cliques
+    monkeypatch.setattr(oracle, "_MAX_CLIQUES_ENUMERATED", 3)
+    g = empty_graph(4)
+    with pytest.raises(BudgetExceededError, match="maximal clique enumeration limit hit"):
+        kappa_hat_oracle(g)
+    p = tmp_path / "empty4.txt"
+    p.write_text("4\n")
+    assert main(["kappa", str(p), "--oracle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "maximal clique enumeration limit hit" in err
 
 
 def test_box_cograph_base_and_closure():
