@@ -489,7 +489,7 @@ def _json_int(value: object, key: str) -> int:
         ) from None
 
 
-def cotree_from_json(text: str, n: int | None = None) -> Cotree:
+def cotree_from_json(text: str) -> Cotree:
     """Inverse of ``cotree_to_json``; raises ValueError on malformed input."""
     data = _json_loads(text)
     root_box: list[CotreeNode] = []
@@ -515,7 +515,7 @@ def cotree_from_json(text: str, n: int | None = None) -> Cotree:
             stack.append((child, node.children))
     root = root_box[0]
     _fill_sizes(root)
-    t = Cotree(root, root.size if n is None else n)
+    t = Cotree(root, root.size)
     check_cotree(t)
     return t
 

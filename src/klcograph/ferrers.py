@@ -24,7 +24,7 @@ from typing import Iterator
 from xml.sax.saxutils import escape
 
 from .cotree import Cotree, CotreeNode, postorder
-from .graphs import Graph
+from .graphs import Graph, is_clique, is_independent_set
 from .sequences import KLColouring, PartitionSequence, lambda_hat
 
 
@@ -200,15 +200,9 @@ def validate_ferrers(g: Graph, f: FerrersRepresentation) -> bool:
     seen: list[int] = [v for row in f.rows for v in row]
     if sorted(seen) != list(range(g.n)):
         return False
-    for row in f.rows:
-        members = frozenset(row)
-        if any(g.adj[v] & members for v in members):
-            return False
-    for col in f.columns:
-        members = frozenset(col)
-        if any(members - g.adj[v] != {v} for v in members):
-            return False
-    return True
+    return all(is_independent_set(g, row) for row in f.rows) and all(
+        is_clique(g, col) for col in f.columns
+    )
 
 
 def validate_ferrers_against_cotree(t: Cotree, f: FerrersRepresentation) -> bool:

@@ -1,11 +1,14 @@
 """Exhaustive ground truth for small graphs.
 
 Everything here works on vertex bitmasks of a fixed parent graph, with
-per-invocation memo tables.  One engine computes chi and kappa; built on the
-complement's masks, the same engine gives the clique cover number and
-lambda, since a (k,l)-colouring of G is by definition an (l,k)-colouring of
-its complement.  Results are exact; exceeding the vertex budget is an error,
-never an approximation.
+per-invocation memo tables.  One memoized recurrence computes kappa, and chi
+is kappa at l = 0: each branch removes a maximal independent set or a maximal
+clique through the lowest vertex of the mask (Lawler 1976), enumerated by
+Bron-Kerbosch seeded at that vertex.  Built on the complement's masks, the
+same engine gives the clique cover number and lambda, since a
+(k,l)-colouring of G is by definition an (l,k)-colouring of its complement.
+Results are exact; exceeding the vertex budget is an error, never an
+approximation.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from typing import Iterator
 from .graphs import Graph
 from .sequences import PartitionSequence
 
-# A graph has at most 3^(n/3) maximal cliques (Moon & Moser 1965), so this
-# guard can only trip at n >= 38.
+# The cliques through v are the maximal cliques of G[N(v)], at most
+# 4 * 3^11 < 10^6 of them while |N(v)| <= 37 (Moon & Moser 1965), so this
+# guard can only trip at n >= 39.
 _MAX_CLIQUES_ENUMERATED = 1_000_000
 
 
@@ -47,7 +51,9 @@ def _adj_masks(g: Graph) -> list[int]:
 
 
 def _maximal_cliques(adj: list[int], mask: int) -> Iterator[int]:
-    """Bron-Kerbosch with pivoting, restricted to the vertices in ``mask``."""
+    """Maximal cliques of the subgraph induced by the nonempty ``mask`` that
+    contain its lowest vertex v: Bron-Kerbosch with pivoting, started from
+    r = {v} and p = mask & N(v)."""
     count = 0
 
     def bk(r: int, p: int, x: int) -> Iterator[int]:
@@ -75,49 +81,40 @@ def _maximal_cliques(adj: list[int], mask: int) -> Iterator[int]:
             yield from bk(r | bit, p & adj[v], x & adj[v])
             p &= ~bit
             x |= bit
-    if mask == 0:
-        return
-    yield from bk(0, mask, 0)
+
+    low = mask & -mask
+    yield from bk(low, mask & adj[low.bit_length() - 1], 0)
 
 
 class _Engine:
-    """Memoized exact chi and kappa over one fixed graph, given by the
-    adjacency masks of the graph and of its complement."""
+    """Memoized exact kappa over one fixed graph, given by the adjacency
+    masks of the graph and of its complement."""
 
     def __init__(self, adj: list[int], co: list[int]) -> None:
         self.n = len(adj)
         self.adj = adj
         self.co = co
-        self._chi: dict[int, int] = {0: 0}
         self._kappa: dict[tuple[int, int], int] = {}
 
-    def chi(self, mask: int) -> int:
-        """Chromatic number of the induced subgraph, by removing maximal
-        independent sets that contain the lowest vertex."""
-        known = self._chi.get(mask)
-        if known is not None:
-            return known
-        low = mask & -mask
-        best = self.n + 1
-        for ind in _maximal_cliques(self.co, mask):
-            if ind & low:
-                best = min(best, 1 + self.chi(mask & ~ind))
-        self._chi[mask] = best
-        return best
-
     def kappa(self, mask: int, l: int) -> int:
-        """Least k such that the induced subgraph is (k,l)-colourable, by
-        removing up to l maximal cliques."""
+        """Least k such that the induced subgraph is (k,l)-colourable.
+
+        Some optimal colouring puts the lowest vertex in a maximal part:
+        growing its part keeps every other part valid once the added
+        vertices leave them.  So the recurrence removes a maximal
+        independent set, or (while l > 0) a maximal clique, through it.
+        """
         if mask == 0:
             return 0
-        if l == 0:
-            return self.chi(mask)
         known = self._kappa.get((mask, l))
         if known is not None:
             return known
-        best = self.kappa(mask, l - 1)
-        for cl in _maximal_cliques(self.adj, mask):
-            best = min(best, self.kappa(mask & ~cl, l - 1))
+        best = 1 + min(
+            self.kappa(mask & ~ind, l) for ind in _maximal_cliques(self.co, mask)
+        )
+        if l:
+            for cl in _maximal_cliques(self.adj, mask):
+                best = min(best, self.kappa(mask & ~cl, l - 1))
         self._kappa[(mask, l)] = best
         return best
 
@@ -144,7 +141,7 @@ def _sequence(eng: _Engine) -> PartitionSequence:
 
 
 def chromatic_number_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    return _engines(g, budget)[0].chi((1 << g.n) - 1)
+    return _engines(g, budget)[0].kappa((1 << g.n) - 1, 0)
 
 
 def kappa_oracle(g: Graph, l: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -274,7 +271,7 @@ def box_cograph_dimension(
                         b |= comps[i]
                 if b == 0:
                     continue
-                if eng.chi(a) != eng.chi(b):
+                if eng.kappa(a, 0) != eng.kappa(b, 0):
                     continue
                 if member(side, a) and member(side, b):
                     result = True
@@ -288,7 +285,7 @@ def box_cograph_dimension(
 
     if not member(0, full):
         return None
-    return (engs[0].chi(full), engs[1].chi(full))
+    return (engs[0].kappa(full, 0), engs[1].kappa(full, 0))
 
 
 def is_box_cograph_oracle(

@@ -144,6 +144,8 @@ def kappa_at(s: PartitionSequence, l: int) -> int:
 
 def is_kl_colourable(s: PartitionSequence, k: int, l: int) -> bool:
     """Decide (k,l)-colourability from the graph's kappa sequence."""
+    if k < 0 or l < 0:
+        raise ValueError("k and l must be natural numbers")
     return kappa_at(s, l) <= k
 
 

@@ -184,10 +184,13 @@ def test_preconditions_are_complementary():
 
 def test_read_offs_reject_negative_parameters():
     f = build_ferrers(build_cotree(l_copies_of_k_clique(2, 2)))
+    kappa = conjugate(f.shape)
     for k, l in ((-1, 0), (0, -1), (-1, -1)):
         for read in (read_colouring, read_obstruction):
             with pytest.raises(ValueError, match="natural numbers"):
                 read(f, k, l)
+        with pytest.raises(ValueError, match="k and l must be natural numbers"):
+            is_kl_colourable(kappa, k, l)
 
 
 def test_render_ascii_lists_labels_row_major():

@@ -4,7 +4,9 @@ import pytest
 
 from klcograph import (
     BudgetExceededError,
+    Graph,
     OracleBudget,
+    PartitionSequence,
     box_cograph_dimension,
     build_cotree,
     chromatic_number_exact,
@@ -102,8 +104,11 @@ def test_budget_enforced():
         chromatic_number_exact(empty_graph(13), OracleBudget(max_vertices=12))
     with pytest.raises(BudgetExceededError):
         is_kl_colourable_exhaustive(empty_graph(9), 1, 1)
-    # raising the budget lifts the limit
-    assert chromatic_number_exact(empty_graph(13), OracleBudget(max_vertices=13)) == 1
+    # raising the budget lifts the limit, and the sparse extremes stay cheap
+    budget = OracleBudget(max_vertices=13)
+    assert chromatic_number_exact(empty_graph(13), budget) == 1
+    assert kappa_hat_oracle(empty_graph(13), budget) == PartitionSequence.constant(1, 13)
+    assert lambda_hat_oracle(complete_graph(13), budget) == PartitionSequence.constant(1, 13)
 
 
 def test_negative_parameters_raise_value_error():
@@ -120,13 +125,14 @@ def test_negative_parameters_raise_value_error():
 
 
 def test_clique_enumeration_limit(monkeypatch, capsys, tmp_path):
-    # four isolated vertices have four maximal cliques
+    # the octahedron K_{2,2,2} has four maximal cliques through vertex 0
     monkeypatch.setattr(oracle, "_MAX_CLIQUES_ENUMERATED", 3)
-    g = empty_graph(4)
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2]
+    g = Graph.from_edges(6, edges)
     with pytest.raises(BudgetExceededError, match="maximal clique enumeration limit hit"):
         kappa_hat_oracle(g)
-    p = tmp_path / "empty4.txt"
-    p.write_text("4\n")
+    p = tmp_path / "octahedron.txt"
+    p.write_text("6\n" + "".join(f"{u} {v}\n" for u, v in edges))
     assert main(["kappa", str(p), "--oracle"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
