@@ -14,7 +14,7 @@ from typing import Union
 from .cotree import Cotree, P4Witness, build_cotree
 from .ferrers import FerrersRepresentation, _tall_columns, build_ferrers, read_colouring
 from .graphs import Graph, VertexSet, induced_subgraph
-from .sequences import KLColouring, PartitionSequence, kappa_hat
+from .sequences import KLColouring, PartitionSequence, kappa_hat_naive
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def box_cograph_failure(g: Graph, cert: BoxCertificate) -> str | None:
     built = build_cotree(sub)
     if isinstance(built, P4Witness):
         return "not-a-cograph"
-    if kappa_hat(built) != PartitionSequence.constant(cert.k, cert.l):
+    if kappa_hat_naive(built) != PartitionSequence.constant(cert.k, cert.l):
         return "kappa-not-constant"
     return None
 

@@ -24,13 +24,8 @@ from .cotree import (
 )
 from .ferrers import build_ferrers, build_ferrers_naive, render_ascii, render_svg
 from .generate import deep_alternating_cotree, random_cotree
-from .graphs import Graph, GraphFormatError, parse_edge_list, parse_graph6
-from .oracle import (
-    BudgetExceededError,
-    OracleBudget,
-    kappa_hat_oracle,
-    lambda_hat_oracle,
-)
+from .graphs import Graph, parse_edge_list, parse_graph6
+from .oracle import OracleBudget, kappa_hat_oracle, lambda_hat_oracle
 from .sequences import (
     KLColouring,
     bichromatic_number,
@@ -58,10 +53,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.format == "g6":
         return parse_graph6(text)
     return parse_edge_list(text)
-
-
-def _p4_payload(g: Graph, w: P4Witness) -> str:
-    return json.dumps({"p4": [g.label(v) for v in w.vertices()]})
 
 
 def _cert_payload(g: Graph, cert: BoxCertificate) -> str:
@@ -99,18 +90,14 @@ def _colouring_payload(g: Graph, col: KLColouring) -> str:
 def _need_cotree(g: Graph) -> Cotree:
     built = build_cotree(g)
     if isinstance(built, P4Witness):
-        print(_p4_payload(g, built))
+        print(json.dumps({"p4": [g.label(v) for v in built.vertices()]}))
         raise SystemExit(EXIT_NEGATIVE)
     return built
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    built = build_cotree(g)
-    if isinstance(built, P4Witness):
-        print(_p4_payload(g, built))
-        return EXIT_NEGATIVE
-    print(cotree_to_json(built) if args.json else cotree_to_text(built))
+    t = _need_cotree(_load_graph(args))
+    print(cotree_to_json(t) if args.json else cotree_to_text(t))
     return EXIT_OK
 
 
@@ -293,7 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (GraphFormatError, BudgetExceededError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .cotree import Cotree, CotreeNode, _fill_sizes, postorder
+from .cotree import Cotree, CotreeNode
 
 
 def random_cotree(
@@ -17,12 +17,14 @@ def random_cotree(
         raise ValueError("need at least one leaf")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     root = CotreeNode()
+    leaves = n  # the walk meets the leaves right to left
     # (node, budget, forced label or None)
     stack: list[tuple[CotreeNode, int, int | None]] = [(root, n, None)]
     while stack:
         node, budget, label = stack.pop()
         if budget == 1:
-            node.vertex = 0  # placeholder, renumbered below
+            leaves -= 1
+            node.vertex = leaves
             continue
         node.label = rng.randrange(2) if label is None else label
         t = rng.randint(2, min(max_children, budget))
@@ -32,8 +34,6 @@ def random_cotree(
             child = CotreeNode()
             node.children.append(child)
             stack.append((child, part, 1 - node.label))
-    _renumber_leaves(root)
-    _fill_sizes(root)
     return Cotree(root, n)
 
 
@@ -50,13 +50,4 @@ def deep_alternating_cotree(n: int, top_label: int = 0) -> Cotree:
     for v in range(1, n):
         node = CotreeNode(label=label, children=[node, CotreeNode(vertex=v)])
         label = 1 - label
-    _fill_sizes(node)
     return Cotree(node, n)
-
-
-def _renumber_leaves(root: CotreeNode) -> None:
-    counter = 0
-    for node in postorder(root):
-        if node.is_leaf:
-            node.vertex = counter
-            counter += 1

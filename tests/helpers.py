@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import statistics
+import time
 
 from klcograph import (
     Cotree,
@@ -141,3 +144,30 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
         seen.add(canon)
         out.append(Graph.from_edges(n, edges))
     return out
+
+
+def _timed(fn, tree):
+    """Wall time of one call fn(tree), with the garbage collector off meanwhile."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        begin = time.perf_counter()
+        fn(tree)
+        return time.perf_counter() - begin
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _doubling_ratio(fn, small, big, trials=5):
+    """Median over trials of time(fn(big)) / time(fn(small)).
+
+    Each trial times the two trees back to back, so a drift in machine speed
+    that lasts longer than one trial scales both timings alike and cancels in
+    the ratio; timing each size on its own, seconds apart, would not.
+    """
+    ratios = []
+    for _ in range(trials):
+        small_time = _timed(fn, small)
+        ratios.append(_timed(fn, big) / small_time)
+    return statistics.median(ratios)

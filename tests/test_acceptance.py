@@ -5,9 +5,7 @@ conjugacy, vertex sums, oracle agreement, certificate soundness, diagram
 validity, growth-rate envelopes, and round-trip identities.
 """
 
-import gc
 import random
-import statistics
 import time
 
 from klcograph import (
@@ -42,6 +40,7 @@ from klcograph.sequences import kappa_at
 
 from helpers import (
     EXAMPLE_7,
+    _doubling_ratio,
     cycle_graph,
     nonisomorphic_graphs,
     path_graph,
@@ -176,33 +175,6 @@ def test_criterion_7_ferrers_representations_valid():
             graph_checked += 1
     ok &= graph_checked >= 50
     report(7, "Ferrers representations valid and variants agree", ok)
-
-
-def _timed(fn, tree):
-    """Wall time of one call fn(tree), with the garbage collector off meanwhile."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        begin = time.perf_counter()
-        fn(tree)
-        return time.perf_counter() - begin
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _doubling_ratio(fn, small, big, trials=5):
-    """Median over trials of time(fn(big)) / time(fn(small)).
-
-    Each trial times the two trees back to back, so a drift in machine speed
-    that lasts longer than one trial scales both timings alike and cancels in
-    the ratio; timing each size on its own, seconds apart, would not.
-    """
-    ratios = []
-    for _ in range(trials):
-        small_time = _timed(fn, small)
-        ratios.append(_timed(fn, big) / small_time)
-    return statistics.median(ratios)
 
 
 def test_criterion_8_growth_rates():

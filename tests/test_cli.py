@@ -281,9 +281,17 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
-# Vertex ids in fuzzed edge lists stay at or below 10**4: the CLI has no vertex
-# ceiling yet, and one edge "0 100000000" makes the parser allocate 10**8
-# adjacency sets.
+def test_vertex_id_above_the_ceiling_exits_two(capsys, tmp_path):
+    p = tmp_path / "huge.txt"
+    p.write_text("0 100000000\n")
+    code, out, err = run(capsys, "recognize", str(p))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+# Vertex ids in fuzzed edge lists stay at or below 10**4: below the parser's
+# ceiling of 2**20 vertices, one edge "0 1000000" still allocates 10**6
+# adjacency sets, seconds per example.
 FUZZ_MAX_ID = 10**4
 FUZZ_COMMANDS = (
     ("recognize",),

@@ -5,6 +5,7 @@ import pytest
 
 from klcograph import (
     Cotree,
+    CotreeNode,
     Graph,
     NotACographError,
     P4Witness,
@@ -24,6 +25,7 @@ from klcograph import (
 from klcograph.cotree import postorder
 
 from helpers import (
+    _doubling_ratio,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -224,6 +226,9 @@ def test_text_and_json_round_trips():
         '{"label": 0, "children": [{"vertex": null}, {"vertex": 1}]}',
         '{"vertex": [0]}',
         "{",
+        '{"label": 0, "children": [{"vertex": 0.9}, {"vertex": 1}]}',
+        '{"label": true, "children": [{"vertex": 0}, {"vertex": 1}]}',
+        '{"label": 1, "children": [{"vertex": 1e0}, {"vertex": 0}]}',
     ):
         with pytest.raises(ValueError):
             cotree_from_json(bad)
@@ -256,11 +261,51 @@ def test_deep_tree_does_not_hit_recursion_limit():
 
 
 def test_check_cotree_rejects_repeated_labels_in_cotree():
-    from klcograph import CotreeNode
-    from klcograph.cotree import _fill_sizes
-
     inner = CotreeNode(label=1, children=[CotreeNode(vertex=0), CotreeNode(vertex=1)])
     root = CotreeNode(label=1, children=[inner, CotreeNode(vertex=2)])
-    _fill_sizes(root)
     with pytest.raises(ValueError):
         check_cotree(Cotree(root, 3))
+
+
+def _leaf_count(node):
+    return sum(1 for x in postorder(node) if x.is_leaf)
+
+
+def test_constructor_sets_sizes_of_hand_built_trees_and_checks_n():
+    # a caterpillar whose spine is the second child, as no producer builds it
+    spine = CotreeNode(vertex=0)
+    for v in range(1, 6):
+        spine = CotreeNode(label=v % 2, children=[CotreeNode(vertex=v), spine])
+    below = CotreeNode(label=0, children=[spine, CotreeNode(vertex=8)])
+    wide = CotreeNode(label=1, children=[CotreeNode(vertex=6), CotreeNode(vertex=7), below])
+    t = Cotree(wide, 9)
+    for node in postorder(t.root):
+        assert node.size == _leaf_count(node)
+    assert t.root.size == 9
+    check_cotree(t)
+    for n in (0, 8, 10):
+        with pytest.raises(ValueError):
+            Cotree(wide, n)
+
+
+def test_random_cotree_output_is_pinned():
+    for (n, seed, max_children), text in (
+        ((9, 4, 4), "0(1(0,1),1(2,0(1(3,4),5)),1(6,7,8))"),
+        (
+            (24, 2026, 4),
+            "0(1(0(0,1),2,0(3,4),0(1(0(5,6,7),0(8,9,1(10,11)),12),1(0(13,14,15),16)))"
+            ",1(17,18,19,20),1(21,0(22,23)))",
+        ),
+        ((17, 7, 16), "1(0,0(1,2,1(3,4),5,6,7,8,1(9,10)),0(11,12),0(1(0(13,14),15),16))"),
+    ):
+        t = random_cotree(n, seed, max_children)
+        assert cotree_to_text(t) == text
+        assert all(node.size == _leaf_count(node) for node in postorder(t.root))
+
+
+def test_build_cotree_is_linear_on_edgeless_graphs():
+    # The root splits into n singleton components, one search each; a search
+    # that rescanned the emptied slots of the unreached set for its start
+    # vertex would make this quadratic (a ratio near 4).
+    ratio = _doubling_ratio(build_cotree, empty_graph(2**14), empty_graph(2**15))
+    assert ratio <= 2.8, f"build_cotree on edgeless graphs, 2^14 -> 2^15: ratio {ratio:.2f}"

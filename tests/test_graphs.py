@@ -46,7 +46,7 @@ def test_parse_edge_list_comments_and_blanks():
 
 @pytest.mark.parametrize(
     "text",
-    ["0 1 2", "a b", "0 0", "1 -2", "3\n0 5"],
+    ["0 1 2", "a b", "0 0", "1 -2", "3\n0 5", "0 100000000", "100000000"],
 )
 def test_parse_edge_list_rejects_malformed(text):
     with pytest.raises(GraphFormatError):
