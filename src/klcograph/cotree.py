@@ -21,7 +21,6 @@ import json
 from json.decoder import scanstring
 import re
 import reprlib
-from typing import Iterator
 
 from .graphs import Graph
 
@@ -104,17 +103,20 @@ class Cotree:
         return self.labels[v] if self.labels is not None else str(v)
 
 
-def postorder(root: CotreeNode) -> Iterator[CotreeNode]:
-    """Iterative post-order traversal (trees can be deep; no recursion)."""
-    stack: list[tuple[CotreeNode, bool]] = [(root, False)]
+def postorder(root: CotreeNode) -> list[CotreeNode]:
+    """Every node after its children, children left to right, as a list.
+
+    It is the reverse of a preorder that visits children right to left; the
+    walk keeps an explicit stack, since trees can be deep.
+    """
+    order: list[CotreeNode] = []
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded or node.is_leaf:
-            yield node
-            continue
-        stack.append((node, True))
-        for child in reversed(node.children):
-            stack.append((child, False))
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    order.reverse()
+    return order
 
 
 # Both searches below pop the frontier one vertex at a time, which shrinks the
@@ -387,9 +389,9 @@ def _serialize(root: CotreeNode, leaf, opening, sep: str, close: str) -> str:
 
 
 def cotree_to_text(t: Cotree) -> str:
-    """Nested parenthesized form, e.g. ``1(0(a,b),c)``."""
+    """Nested parenthesized form over vertex ids, e.g. ``1(0(0,1),2)``."""
     return _serialize(
-        t.root, lambda x: t.label_of(x.vertex), lambda x: f"{x.label}(", ",", ")"
+        t.root, lambda x: str(x.vertex), lambda x: f"{x.label}(", ",", ")"
     )
 
 

@@ -25,7 +25,7 @@ from xml.sax.saxutils import escape
 
 from .cotree import Cotree, CotreeNode, postorder
 from .graphs import Graph, is_clique, is_independent_set
-from .sequences import KLColouring, PartitionSequence, lambda_hat
+from .sequences import KLColouring, PartitionSequence, _check_natural, lambda_hat
 
 
 @dataclass(frozen=True)
@@ -220,10 +220,7 @@ def validate_ferrers_against_cotree(t: Cotree, f: FerrersRepresentation) -> bool
             place[v] = (r, c)
     if len(place) != t.n or set(place) != set(range(t.n)):
         return False
-    lengths = [len(r) for r in f.rows]
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
-        return False
-    if PartitionSequence(lengths) != lambda_hat(t):
+    if tuple(len(r) for r in f.rows) != lambda_hat(t):
         return False
 
     sets: dict[CotreeNode, tuple[set[int], set[int]]] = {}
@@ -255,8 +252,7 @@ def validate_ferrers_against_cotree(t: Cotree, f: FerrersRepresentation) -> bool
 def _tall_columns(f: FerrersRepresentation, k: int, l: int) -> int:
     """Number of columns taller than k: the length of row k, 0 past the last
     row.  Raise ValueError unless both colouring parameters are at least 0."""
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be natural numbers")
+    _check_natural(k, l)
     return len(f.rows[k]) if k < len(f.rows) else 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Graph
-from .sequences import PartitionSequence
+from .sequences import PartitionSequence, _check_natural
 
 # The cliques through v are the maximal cliques of G[N(v)], at most
 # 4 * 3^11 < 10^6 of them while |N(v)| <= 37 (Moon & Moser 1965), so this
@@ -39,11 +39,6 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
-
-
-def _check_natural(*values: int) -> None:
-    if any(v < 0 for v in values):
-        raise ValueError("k and l must be natural numbers")
 
 
 def _adj_masks(g: Graph) -> list[int]:

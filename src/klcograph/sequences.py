@@ -13,25 +13,26 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import groupby
+from typing import Iterable
 
 from .cotree import Cotree, CotreeNode, postorder
 from .graphs import Graph, VertexSet, is_clique, is_independent_set
 
 
-class PartitionSequence:
-    """Finite non-increasing sequence of positive integers."""
+class PartitionSequence(tuple):
+    """Finite non-increasing sequence of positive integers: a validated tuple."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[int] = ()) -> None:
-        es = tuple(int(e) for e in entries)
-        for i, e in enumerate(es):
+    def __new__(cls, entries: Iterable[int] = ()) -> "PartitionSequence":
+        self = super().__new__(cls, (int(e) for e in entries))
+        for i, e in enumerate(self):
             if e < 1:
                 raise ValueError(f"entry {e} is not positive")
-            if i and es[i - 1] < e:
+            if i and self[i - 1] < e:
                 raise ValueError("entries must be non-increasing")
-        self._entries = es
+        return self
 
     @classmethod
     def constant(cls, value: int, count: int) -> "PartitionSequence":
@@ -65,74 +66,52 @@ class PartitionSequence:
 
     @property
     def entries(self) -> tuple[int, ...]:
-        return self._entries
+        """The entries as a plain tuple."""
+        return tuple(self)
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
         """Run-length form: (value, multiplicity) with strictly decreasing values."""
-        out: list[tuple[int, int]] = []
-        for e in self._entries:
-            if out and out[-1][0] == e:
-                out[-1] = (e, out[-1][1] + 1)
-            else:
-                out.append((e, 1))
-        return tuple(out)
+        return tuple((e, len(list(group))) for e, group in groupby(self))
 
     @property
     def total(self) -> int:
-        return sum(self._entries)
+        return sum(self)
 
     def to_text(self) -> str:
-        return ",".join(str(e) for e in self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self._entries[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PartitionSequence):
-            return self._entries == other._entries
-        if isinstance(other, tuple):
-            return self._entries == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
+        return ",".join(map(str, self))
 
     def __repr__(self) -> str:
-        return f"PartitionSequence({self._entries})"
+        return f"PartitionSequence({tuple.__repr__(self)})"
 
 
 def entrywise_add(a: PartitionSequence, b: PartitionSequence) -> PartitionSequence:
     """Positional sum; the shorter sequence is zero-padded."""
-    ea, eb = a.entries, b.entries
-    if len(ea) < len(eb):
-        ea, eb = eb, ea
-    return PartitionSequence(
-        tuple(x + y for x, y in zip(ea, eb)) + ea[len(eb):]
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    return PartitionSequence(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
 
 def star_merge(a: PartitionSequence, b: PartitionSequence) -> PartitionSequence:
     """Multiset union sorted from largest to smallest."""
-    return PartitionSequence(sorted(a.entries + b.entries, reverse=True))
+    return PartitionSequence(sorted(a + b, reverse=True))
 
 
 def conjugate(s: PartitionSequence) -> PartitionSequence:
     """Reflection of the Ferrers diagram along the main diagonal."""
-    es = s.entries
-    if not es:
+    if not s:
         return PartitionSequence()
-    out = [0] * es[0]
-    for e in es:
+    out = [0] * s[0]
+    for e in s:
         for j in range(e):
             out[j] += 1
     return PartitionSequence(out)
+
+
+def _check_natural(*values: int) -> None:
+    """Raise ValueError unless every colouring parameter (k or l) is at least 0."""
+    if any(v < 0 for v in values):
+        raise ValueError("k and l must be natural numbers")
 
 
 def kappa_at(s: PartitionSequence, l: int) -> int:
@@ -144,8 +123,7 @@ def kappa_at(s: PartitionSequence, l: int) -> int:
 
 def is_kl_colourable(s: PartitionSequence, k: int, l: int) -> bool:
     """Decide (k,l)-colourability from the graph's kappa sequence."""
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be natural numbers")
+    _check_natural(k, l)
     return kappa_at(s, l) <= k
 
 
@@ -221,23 +199,20 @@ def _rle_add_into(big: list[list[int]], small: list[list[int]]) -> None:
     """
     new: list[list[int]] = []
     bi = 0
-    b_off = 0  # entries of big[bi] already consumed
     for s_value, s_count in small:
         while s_count:
-            if bi < len(big):
-                b_value, b_count = big[bi]
-                take = min(s_count, b_count - b_off)
-                new.append([b_value + s_value, take])
-                s_count -= take
-                b_off += take
-                if b_off == big[bi][1]:
-                    bi += 1
-                    b_off = 0
-            else:
+            if bi == len(big):
                 new.append([s_value, s_count])
-                s_count = 0
-    if b_off:
-        big[bi][1] -= b_off
+                break
+            run = big[bi]
+            if s_count >= run[1]:
+                take = run[1]
+                bi += 1
+            else:
+                take = s_count
+                run[1] -= take
+            new.append([run[0] + s_value, take])
+            s_count -= take
     big[:bi] = new
 
 

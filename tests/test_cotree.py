@@ -20,6 +20,7 @@ from klcograph import (
     deep_alternating_cotree,
     evaluate_cotree,
     find_p4,
+    induced_subgraph,
     random_cotree,
 )
 from klcograph.cotree import postorder
@@ -216,6 +217,14 @@ def test_text_and_json_round_trips():
         canon = build_cotree(evaluate_cotree(t))
         assert cotree_to_text(cotree_from_text(cotree_to_text(canon))) == cotree_to_text(canon)
         assert cotree_to_text(cotree_from_json(cotree_to_json(canon))) == cotree_to_text(canon)
+    # named vertices: the text form carries ids, so it reads back the same graph
+    for g in (
+        Graph.from_edges(3, [(0, 1)], ["2", "0", "1"]),
+        induced_subgraph(path_graph(6), {2, 3, 5}),
+    ):
+        t = build_cotree(g)
+        back = evaluate_cotree(cotree_from_text(cotree_to_text(t)))
+        assert sorted(back.edges()) == sorted(g.edges())
     for bad in (
         '{"label": 1}',
         "[1, 2]",

@@ -96,6 +96,12 @@ def test_validator_rejects_swapped_cells():
     rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
     broken = type(f)(tuple(tuple(r) for r in rows), f.labels)
     assert not validate_ferrers(g, broken)
+    assert not validate_ferrers_against_cotree(t, broken)
+    # an empty row under the two isolated vertices of 2K1
+    t = build_cotree(l_copies_of_k_clique(2, 1))
+    empty_row = type(f)(((0, 1), ()))
+    assert not validate_ferrers(evaluate_cotree(t), empty_row)
+    assert not validate_ferrers_against_cotree(t, empty_row)
 
 
 def test_read_colouring_valid_whenever_feasible():

@@ -55,6 +55,11 @@ def test_runs_and_constant():
     assert PartitionSequence.constant(4, 3).entries == (4, 4, 4)
     assert PartitionSequence([5, 5, 2]).runs == ((5, 2), (2, 1))
     assert PartitionSequence.from_runs([(5, 2), (2, 1)]).entries == (5, 5, 2)
+    s = PartitionSequence([3, 3, 1])
+    assert isinstance(s, tuple) and s == (3, 3, 1) and hash(s) == hash((3, 3, 1))
+    assert type(s.entries) is tuple
+    assert PartitionSequence().runs == ()
+    assert PartitionSequence([2, 2]).runs == ((2, 2),)
 
 
 def test_entrywise_add_worked_example():
