@@ -8,6 +8,7 @@ witness (a P4 or a box-cograph certificate) when one exists.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -269,10 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that ``main`` reuses: building one costs more than running
+    a command on a small graph.  Sharing is safe, since ``parse_args``
+    returns a fresh namespace on every call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)

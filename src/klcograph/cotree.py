@@ -351,7 +351,8 @@ def check_cotree(t: Cotree) -> None:
                 raise ValueError(f"bad leaf vertex {node.vertex}")
             seen.add(node.vertex)
             continue
-        if node.label not in (0, 1):
+        # type(...) is int: True == 1, but cotree_to_text would write "True"
+        if type(node.label) is not int or node.label not in (0, 1):
             raise ValueError("internal node without 0/1 label")
         if len(node.children) < 2:
             raise ValueError("internal node with fewer than 2 children")

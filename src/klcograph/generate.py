@@ -45,6 +45,8 @@ def deep_alternating_cotree(n: int, top_label: int = 0) -> Cotree:
     """
     if n < 1:
         raise ValueError("need at least one leaf")
+    if type(top_label) is not int or top_label not in (0, 1):
+        raise ValueError(f"top label must be the int 0 or 1, got {top_label!r}")
     node = CotreeNode(vertex=0)
     label = top_label if n % 2 == 0 else 1 - top_label
     for v in range(1, n):

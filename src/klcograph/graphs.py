@@ -7,14 +7,17 @@ reported in user coordinates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator
 
 VertexSet = frozenset[int]
 
 # Largest vertex count an edge list may declare or imply.  Each vertex costs
 # an adjacency set, so one edge "0 100000000" would otherwise allocate 10^8 of
-# them; 2^20 isolated vertices parse in ~4 s and recognize in ~10 s.
+# them; 2^20 isolated vertices parse in ~3 s and recognize in ~9 s (Python
+# 3.11, 2-core VM; the parse takes 0.5 s with the garbage collector off).
 MAX_VERTICES = 2**20
 
 
@@ -47,6 +50,21 @@ class Graph:
             raise ValueError("labels length does not match vertex count")
 
     @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        adj: tuple[frozenset[int], ...],
+        labels: tuple[str, ...] | None = None,
+    ) -> "Graph":
+        """A graph whose adjacency is symmetric, loop-free and in range by
+        construction, without ``__post_init__``'s O(n + m) scan."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "labels", labels)
+        return g
+
+    @classmethod
     def from_edges(
         cls,
         n: int,
@@ -62,11 +80,12 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls(
-            n,
-            tuple(frozenset(s) for s in nbrs),
-            None if labels is None else tuple(labels),
-        )
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        names = None if labels is None else tuple(labels)
+        if names is not None and len(names) != n:
+            raise ValueError("labels length does not match vertex count")
+        return cls._trusted(n, tuple(map(frozenset, nbrs)), names)
 
     @property
     def m(self) -> int:
@@ -93,7 +112,48 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are ignored.  A vertex count
     above ``MAX_VERTICES``, declared or implied by a vertex id, is an error.
+
+    A regular list is decoded in bulk: one token on the first non-blank line
+    or two, two on every other, and every token a valid vertex id.  Anything
+    else, a comment included ('#' is in no id), goes through the line loop,
+    the only code that raises ``GraphFormatError``, so an error still names
+    the first bad line.
     """
+    g = _bulk_edge_list(text)
+    return g if g is not None else _edge_list_by_line(text)
+
+
+def _bulk_edge_list(text: str) -> Graph | None:
+    """The graph of a regular edge list, or None for the line loop to decide."""
+    # tokens per line; the first non-blank line is a header if it has one
+    counts = list(map(len, map(str.split, text.splitlines())))
+    header = 1 if next(filter(None, counts), 0) == 1 else 0
+    if counts.count(2) != len(counts) - counts.count(0) - header:
+        return None
+    tokens = text.split()
+    try:
+        # int() once per distinct token: an id repeats once per incident edge
+        value = {token: int(token) for token in set(tokens)}
+    except ValueError:
+        return None
+    if not value or min(value.values()) < 0:
+        return None
+    ids = list(map(value.__getitem__, tokens))
+    del tokens  # the ids share the dict's ints; the strings can go
+    us, vs = ids[header::2], ids[header + 1 :: 2]
+    top = max(max(us, default=-1), max(vs, default=-1))
+    n = ids[0] if header else top + 1
+    if top >= n or n > MAX_VERTICES or any(map(operator.eq, us, vs)):
+        return None
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in zip(us, vs):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph._trusted(n, tuple(map(frozenset, nbrs)))
+
+
+def _edge_list_by_line(text: str) -> Graph:
+    """``parse_edge_list`` one line at a time, raising on the first bad line."""
     declared: int | None = None
     edges: list[tuple[int, int]] = []
     max_seen = -1
@@ -136,6 +196,10 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# The six bits of a graph6 byte value 0..63, most significant first, as 0/1 bytes.
+_G6_BITS = tuple(bytes((v >> s) & 1 for s in range(5, -1, -1)) for v in range(64))
+
+
 def _graph6_read_n(data: bytes) -> tuple[int, bytes]:
     if data[0] != 126:  # '~'
         return data[0] - 63, data[1:]
@@ -155,7 +219,13 @@ def _graph6_read_n(data: bytes) -> tuple[int, bytes]:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string (column-major upper-triangle bit order)."""
+    """Decode a graph6 string (column-major upper-triangle bit order).
+
+    Every header, length and byte-range check runs before decoding, so a
+    malformed string raises ``GraphFormatError`` with no partial work.  The
+    body is then expanded to one 0/1 byte per vertex pair, and each column,
+    a vertex's lower neighbours, is one slice of it.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -173,18 +243,24 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(rest)} bytes, expected {(nbits + 5) // 6} for n={n}"
         )
-    # one bit per vertex pair in column-major upper-triangle order; the
-    # padding bits past the last pair are ignored
-    bits = "".join(format(b - 63, "06b") for b in rest)
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    edges = [pair for pair, bit in zip(pairs, bits) if bit == "1"]
-    return Graph.from_edges(n, edges)
+    # column j is the j pairs (0, j) .. (j-1, j); the padding bits past the
+    # last column are never read
+    bits = b"".join([_G6_BITS[b - 63] for b in rest])
+    nbrs: list[set[int]] = []
+    start = 0
+    for j in range(n):
+        lower = set(compress(range(j), bits[start : start + j]))
+        start += j
+        for i in lower:
+            nbrs[i].add(j)
+        nbrs.append(lower)
+    return Graph._trusted(n, tuple(map(frozenset, nbrs)))
 
 
 def complement(g: Graph) -> Graph:
     full = frozenset(range(g.n))
     adj = tuple(full - g.adj[v] - {v} for v in range(g.n))
-    return Graph(g.n, adj, g.labels)
+    return Graph._trusted(g.n, adj, g.labels)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -194,7 +270,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
         labels = tuple(g.label(v) for v in range(g.n)) + tuple(
             h.label(v) for v in range(h.n)
         )
-    return Graph(g.n + h.n, adj, labels)
+    return Graph._trusted(g.n + h.n, adj, labels)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -204,7 +280,7 @@ def join(g: Graph, h: Graph) -> Graph:
     adj = tuple(
         (u.adj[v] | right) if v < g.n else (u.adj[v] | left) for v in range(u.n)
     )
-    return Graph(u.n, adj, u.labels)
+    return Graph._trusted(u.n, adj, u.labels)
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
@@ -221,7 +297,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     adj = tuple(
         frozenset(index[w] for w in g.adj[v] & members) for v in vs
     )
-    return Graph(len(vs), adj, tuple(g.label(v) for v in vs))
+    return Graph._trusted(len(vs), adj, tuple(g.label(v) for v in vs))
 
 
 def is_independent_set(g: Graph, s: Iterable[int]) -> bool:

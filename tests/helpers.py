@@ -127,6 +127,23 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def decode_graph6_reference(text: str) -> Graph:
+    """Bit-string graph6 decoder, the reference for ``parse_graph6``.
+
+    Takes a well-formed string with n <= 258047: one '0'/'1' character per
+    bit, zipped with the vertex pairs in column-major upper-triangle order.
+    """
+    data = text.strip().encode("ascii")
+    if data[0] == 126:  # '~'
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+    else:
+        n, body = data[0] - 63, data[1:]
+    bits = "".join(format(b - 63, "06b") for b in body)
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph.from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit == "1"])
+
+
 def nonisomorphic_graphs(n: int) -> list[Graph]:
     """All graphs on exactly n vertices, one per isomorphism class."""
     pairs = list(itertools.combinations(range(n), 2))

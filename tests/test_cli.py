@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -20,6 +23,8 @@ from klcograph import (
     parse_graph6,
     random_cotree,
 )
+import klcograph
+from klcograph import cli
 from klcograph.cli import main
 
 from helpers import EXAMPLE_7, cycle_graph, encode_graph6, l_copies_of_k_clique
@@ -270,6 +275,48 @@ def test_bench_csv_shape(capsys):
             n, naive_ms, fast_ms = line.split(",")
             assert int(n) in (64, 128)
             assert float(naive_ms) >= 0 and float(fast_ms) >= 0
+
+
+FRESH_MAIN = "import sys; from klcograph.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _run_in_fresh_process(argv):
+    """(exit code, stdout) of ``main(argv)`` as the first call of a new interpreter."""
+    paths = (str(Path(klcograph.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch, k3_file, p4_file):
+    # each later call would answer differently if it inherited the earlier
+    # call's options: the style, the oracle, or -k and -l
+    sequences = (
+        (("ferrers", k3_file, "--svg"), ("ferrers", k3_file)),
+        (("kappa", p4_file, "--oracle", "--budget", "5"), ("kappa", p4_file)),
+        (("check", k3_file, "-k", "-1", "-l", "0"), ("check", k3_file, "-k", "1", "-l", "1")),
+        (
+            ("check", k3_file, "-k", "1", "-l", "1"),
+            ("certify", k3_file),
+            ("certify", k3_file, "-k", "0", "-l", "1"),
+        ),
+    )
+    fresh = {argv: _run_in_fresh_process(argv) for calls in sequences for argv in calls}
+    builds = []
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build_parser())
+    cli._parser.cache_clear()
+    try:
+        for calls in sequences:
+            for argv in calls:
+                code, out, _ = run(capsys, *argv)
+                assert (code, out) == fresh[argv], argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
 
 
 def test_unknown_command_exits_two(capsys):

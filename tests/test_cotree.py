@@ -276,6 +276,17 @@ def test_check_cotree_rejects_repeated_labels_in_cotree():
         check_cotree(Cotree(root, 3))
 
 
+def test_bool_labels_are_rejected():
+    # True == 1 passes a membership test in (0, 1), but cotree_to_text writes
+    # the label as "True", which cotree_from_text rejects
+    for top in (True, False, 2):
+        with pytest.raises(ValueError):
+            deep_alternating_cotree(4, top)
+    root = CotreeNode(label=True, children=[CotreeNode(vertex=0), CotreeNode(vertex=1)])
+    with pytest.raises(ValueError):
+        check_cotree(Cotree(root, 2))
+
+
 def _leaf_count(node):
     return sum(1 for x in postorder(node) if x.is_leaf)
 

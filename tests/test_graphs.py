@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from klcograph import (
     Graph,
@@ -12,9 +14,38 @@ from klcograph import (
     parse_edge_list,
     parse_graph6,
 )
-from klcograph.graphs import is_clique, is_independent_set
+from klcograph.graphs import (
+    _bulk_edge_list,
+    _edge_list_by_line,
+    is_clique,
+    is_independent_set,
+)
 
-from helpers import complete_graph, encode_graph6, path_graph, random_graph
+from helpers import (
+    complete_graph,
+    decode_graph6_reference,
+    encode_graph6,
+    path_graph,
+    random_graph,
+)
+
+
+def test_public_constructor_still_checks():
+    for adj, message in (
+        ((frozenset({1}), frozenset()), "not symmetric"),
+        ((frozenset({0}), frozenset()), "self-loop"),
+        ((frozenset({2}), frozenset()), "out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Graph(2, adj)
+    for n, edges, labels, message in (
+        (2, [(1, 1)], None, "self-loop"),
+        (2, [(0, 2)], None, "out of range"),
+        (-1, [], None, "non-negative"),
+        (2, [(0, 1)], ["a"], "labels length"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(n, edges, labels)
 
 
 def test_from_edges_collapses_duplicates():
@@ -51,6 +82,85 @@ def test_parse_edge_list_comments_and_blanks():
 def test_parse_edge_list_rejects_malformed(text):
     with pytest.raises(GraphFormatError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1\n1 2\n",
+        "0 1",
+        "4\n",
+        "5\n0 1\n",
+        "\n  \n3\r\n0\t1\r\n 1  2 \r\n\r\n1 2\r\n",
+        "2 0\n0 2\n007 1\n",
+    ],
+)
+def test_regular_edge_lists_take_the_bulk_path(text):
+    g = _bulk_edge_list(text)
+    assert g is not None and g == _edge_list_by_line(text)
+
+
+# Edge-list lines: regular edges, and lines the bulk path must leave to the
+# line loop or read the same way: every malformed kind of
+# test_parse_edge_list_rejects_malformed, comments, blank and whitespace-only
+# lines, tabs, extra spaces and ids that int() reads in a non-canonical form.
+EDGE_LINES = (
+    st.tuples(st.integers(0, 12), st.integers(0, 12))
+    .filter(lambda e: e[0] != e[1])
+    .map(lambda e: f"{e[0]} {e[1]}")
+)
+ODD_LINES = st.sampled_from(
+    ("0 1 2", "a b", "0 0", "1 -2", "0 100000000", "100000000", "-3", "x",
+     "", "   ", "\t", "# comment", "  # indented", "0 1 # trailing",
+     "0\t1", " 3  4 ", "+1 2", "1_0 3", "\u0663 1")
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(EDGE_LINES, max_size=12))
+    if lines and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines)))  # a duplicate edge
+    for odd in draw(st.lists(ODD_LINES, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    if draw(st.booleans()):
+        lines.insert(0, str(draw(st.integers(0, 14))))  # may be below an id
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline)))
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(edge_list_texts())
+def test_bulk_edge_list_agrees_with_the_line_loop(text):
+    try:
+        expected = _edge_list_by_line(text)
+    except GraphFormatError as exc:
+        assert _bulk_edge_list(text) is None
+        with pytest.raises(GraphFormatError) as caught:
+            parse_edge_list(text)
+        assert str(caught.value) == str(exc)
+        return
+    bulk = _bulk_edge_list(text)
+    assert bulk is None or bulk == expected
+    assert parse_edge_list(text) == expected
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.one_of(st.sampled_from((0, 1, 2, 62, 63, 64)), st.integers(0, 200)),
+    st.floats(0, 1),
+    st.integers(0, 2**32),
+    st.integers(0, 63),
+)
+def test_parse_graph6_agrees_with_the_bit_string_decoder(n, p, graph_seed, padding):
+    text = encode_graph6(random_graph(n, p, random.Random(graph_seed)))
+    pad = -(n * (n - 1) // 2) % 6
+    if pad:  # set some of the padding bits, which the decoders must ignore
+        last = (ord(text[-1]) - 63) | (padding & ((1 << pad) - 1))
+        text = text[:-1] + chr(last + 63)
+    assert parse_graph6(text) == decode_graph6_reference(text)
 
 
 def test_parse_graph6_known_strings():
