@@ -21,6 +21,7 @@ import json
 from json.decoder import scanstring
 import re
 import reprlib
+from typing import NoReturn
 
 from .graphs import Graph
 
@@ -98,6 +99,18 @@ class Cotree:
             node.size = 1 if node.is_leaf else sum(c.size for c in node.children)
         if self.root.size != self.n:
             raise ValueError(f"cotree has {self.root.size} leaves, not n = {self.n}")
+
+    @classmethod
+    def _checked(cls, order: list[CotreeNode], n: int) -> "Cotree":
+        """The cotree whose nodes ``order`` lists in postorder, n of them
+        leaves, after one walk that sets the sizes and makes ``check_cotree``'s
+        checks; for the readers, which count the leaves as they parse."""
+        _check_nodes(order, n)
+        t = object.__new__(cls)
+        object.__setattr__(t, "root", order[-1])
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "labels", None)
+        return t
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -344,22 +357,34 @@ def complement_cotree(t: Cotree) -> Cotree:
 
 def check_cotree(t: Cotree) -> None:
     """Validate structural invariants; raises ValueError on violation."""
+    _check_nodes(postorder(t.root), t.n)
+
+
+def _check_nodes(order: list[CotreeNode], n: int) -> None:
+    """``check_cotree`` over nodes listed in postorder; it also sets each
+    node's size, which the checks leave valid once they pass."""
     seen: set[int] = set()
-    for node in postorder(t.root):
-        if node.is_leaf:
-            if not 0 <= node.vertex < t.n or node.vertex in seen:
-                raise ValueError(f"bad leaf vertex {node.vertex}")
-            seen.add(node.vertex)
+    for node in order:
+        v = node.vertex
+        if v is not None:
+            if not 0 <= v < n or v in seen:
+                raise ValueError(f"bad leaf vertex {v}")
+            seen.add(v)
+            node.size = 1
             continue
-        # type(...) is int: True == 1, but cotree_to_text would write "True"
-        if type(node.label) is not int or node.label not in (0, 1):
+        label = node.label
+        # type(...) is int: True == 1, but a bool is no label
+        if type(label) is not int or label not in (0, 1):
             raise ValueError("internal node without 0/1 label")
         if len(node.children) < 2:
             raise ValueError("internal node with fewer than 2 children")
+        size = 0
         for c in node.children:
-            if not c.is_leaf and c.label == node.label:
+            if c.vertex is None and c.label == label:
                 raise ValueError("child repeats parent label in a cotree")
-    if len(seen) != t.n:
+            size += c.size
+        node.size = size
+    if len(seen) != n:
         raise ValueError("leaves do not cover all vertices")
 
 
@@ -369,31 +394,33 @@ def check_cotree(t: Cotree) -> None:
 # memory, and appends tokens to one list that is joined once.
 
 
-def _serialize(root: CotreeNode, leaf, opening, sep: str, close: str) -> str:
-    """Tokens of ``opening(node)``, children separated by ``sep``, ``close``."""
+def _serialize(
+    root: CotreeNode, leaf, openings: tuple[str, str], sep: str, close: str
+) -> str:
+    """``leaf(vertex)`` at a leaf; ``openings[label]``, the children separated
+    by ``sep``, then ``close`` at an internal node."""
     out: list[str] = []
-    stack: list[CotreeNode | str] = [root]
+    stack: list = [root]  # nodes, and the separators and closers still to write
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if item.__class__ is str:
             out.append(item)
-        elif item.is_leaf:
-            out.append(leaf(item))
+        elif item.vertex is not None:
+            out.append(leaf(item.vertex))
         else:
-            out.append(opening(item))
+            out.append(openings[item.label])
             stack.append(close)
-            for i in range(len(item.children) - 1, -1, -1):
-                stack.append(item.children[i])
-                if i:
-                    stack.append(sep)
+            kids = item.children
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(sep)
+            stack.append(kids[0])
     return "".join(out)
 
 
 def cotree_to_text(t: Cotree) -> str:
     """Nested parenthesized form over vertex ids, e.g. ``1(0(0,1),2)``."""
-    return _serialize(
-        t.root, lambda x: str(x.vertex), lambda x: f"{x.label}(", ",", ")"
-    )
+    return _serialize(t.root, str, ("0(", "1("), ",", ")")
 
 
 def cotree_to_json(t: Cotree) -> str:
@@ -401,8 +428,8 @@ def cotree_to_json(t: Cotree) -> str:
     ``{"vertex", "name"}`` objects."""
     return _serialize(
         t.root,
-        lambda x: json.dumps({"vertex": x.vertex, "name": t.label_of(x.vertex)}),
-        lambda x: f'{{"label": {json.dumps(x.label)}, "children": [',
+        lambda v: json.dumps({"vertex": v, "name": t.label_of(v)}),
+        ('{"label": 0, "children": [', '{"label": 1, "children": ['),
         ", ",
         "]}",
     )
@@ -499,9 +526,21 @@ def _json_int(value: object, key: str) -> int:
     return value
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def cotree_from_json(text: str) -> Cotree:
-    """Inverse of ``cotree_to_json``; raises ValueError on malformed input."""
-    data = _json_loads(text)
+    """Inverse of ``cotree_to_json``; raises ValueError on malformed input.
+
+    The C ``json.loads`` reads the document unless it nests too deeply for
+    the interpreter's recursion limit; ``_json_loads`` then reads it.  Both
+    reject NaN and Infinity.
+    """
+    try:
+        data = json.loads(text, parse_constant=_reject_constant)
+    except RecursionError:
+        data = _json_loads(text)
     root_box: list[CotreeNode] = []
     leaves = 0
     # stack entries: (JSON object, children list the decoded node joins)
@@ -525,46 +564,58 @@ def cotree_from_json(text: str) -> Cotree:
         sink.append(node)
         for child in reversed(children):
             stack.append((child, node.children))
-    t = Cotree(root_box[0], leaves)
-    check_cotree(t)
-    return t
+    return Cotree._checked(postorder(root_box[0]), leaves)
+
+
+_TEXT_DELIMITERS = re.compile(r"([(),])")
 
 
 def cotree_from_text(text: str) -> Cotree:
     """Parse the parenthesized form; leaf names must be integers."""
-    pos = 0
-    leaves = 0
-    root_box: list[CotreeNode] = []
+    # pieces alternate token, delimiter, ..., token; pieces[i] starts at
+    # offset pos of text, so a delimiter sits at an odd index below last
+    pieces = _TEXT_DELIMITERS.split(text)
+    last = len(pieces) - 1
+    i = pos = leaves = 0
+    order: list[CotreeNode] = []  # the nodes read so far, in postorder
     open_nodes: list[CotreeNode] = []  # internal nodes whose ')' is pending
     while True:
-        start = pos
-        while pos < len(text) and text[pos] not in "(),":
-            pos += 1
-        token = text[start:pos].strip()
-        sink = open_nodes[-1].children if open_nodes else root_box
-        if pos < len(text) and text[pos] == "(":
+        raw = pieces[i]
+        token = raw.strip()
+        pos += len(raw)
+        if i < last and pieces[i + 1] == "(":
             if token not in ("0", "1"):
                 raise ValueError(f"bad internal node label {token!r}")
-            pos += 1  # consume '('
             node = CotreeNode(label=int(token))
-            sink.append(node)
+            if open_nodes:
+                open_nodes[-1].children.append(node)
             open_nodes.append(node)
+            i += 2
+            pos += 1
             continue  # its first child comes next
         if not token:
             raise ValueError("empty leaf name in cotree text")
-        sink.append(CotreeNode(vertex=int(token)))
+        node = CotreeNode(vertex=int(token))
+        if open_nodes:
+            open_nodes[-1].children.append(node)
+        order.append(node)
         leaves += 1
-        # a node just ended: a ',' starts its next sibling, a ')' ends its parent
-        while open_nodes and pos < len(text) and text[pos] == ")":
+        # a node just ended: a ',' starts its next sibling, a ')' ends its
+        # parent, and j is the delimiter after it
+        j = i + 1
+        while open_nodes and j < last and pieces[j] == ")":
+            order.append(open_nodes.pop())
             pos += 1
-            open_nodes.pop()
+            if pieces[j + 1]:  # text follows the ')', not a delimiter
+                j = last
+                break
+            j += 2
         if not open_nodes:
             break
-        if pos >= len(text) or text[pos] != ",":
+        if j >= last or pieces[j] != ",":
             raise ValueError("unbalanced parentheses in cotree text")
-        pos += 1  # consume ','
+        i = j + 1
+        pos += 1
     if pos != len(text.rstrip()):
         raise ValueError("trailing characters after cotree text")
-    t = Cotree(root_box[0], leaves)
-    check_cotree(t)
-    return t
+    return Cotree._checked(order, leaves)

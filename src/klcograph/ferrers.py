@@ -8,10 +8,13 @@ sequence, row lengths the lambda sequence.
 run-length lists of lines.  Columns follow the kappa operators and rows the
 lambda operators, each merged into the child with the most leaves, for
 O(n log n) total work; a vertex's cell is (its row's index, its column's
-index).  ``build_ferrers_naive``, which re-sorts whole representations at
-every tree node, is the reference: the two produce the same grid cell for
-cell, since concatenation order is the children's order and sorting by size
-is stable.  Colourings are read off the rows of the diagram.
+index).  The pass keeps the finished subtrees on a value stack, where a leaf
+is its bare vertex id, and folds a leaf child in O(1): one new line of size
+1, and one more vertex on the first line.  ``build_ferrers_naive``, which
+re-sorts whole representations at every tree node, is the reference: the
+two produce the same grid cell for cell, since concatenation order is the
+children's order and sorting by size is stable.  Colourings are read off
+the rows of the diagram.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import chain, takewhile
 from typing import Iterator
 from xml.sax.saxutils import escape
 
@@ -146,6 +149,13 @@ def _lines(runs: list) -> Iterator[list[int]]:
     return (line for _, lines in runs for line in lines)
 
 
+def _leaf_runs(part) -> tuple[list, list]:
+    """A subtree's (cols, rows); a leaf's bare vertex id becomes one cell."""
+    if type(part) is tuple:
+        return part
+    return [[1, deque([[part]])]], [[1, deque([[part]])]]
+
+
 def build_ferrers(t: Cotree) -> FerrersRepresentation:
     """One post-order pass; each node merges its children into the largest one.
 
@@ -153,27 +163,45 @@ def build_ferrers(t: Cotree) -> FerrersRepresentation:
     reverse.  Children before the largest go ahead of it among equal-size
     lines, nearest first; children after it go behind, in order.
     """
-    runs: dict[CotreeNode, tuple[list, list]] = {}
+    # (cols, rows) of the finished subtrees whose parent is still to come, in
+    # postorder, so a node's children are the top len(children) entries.  A
+    # leaf is its bare vertex id.
+    stack: list = []
     for node in postorder(t.root):
-        if node.is_leaf:
-            v = node.vertex
-            runs[node] = ([[1, deque([[v]])]], [[1, deque([[v]])]])
+        if node.vertex is not None:
+            stack.append(node.vertex)
             continue
-        kids = node.children
-        big = max(range(len(kids)), key=lambda i: kids[i].size)
-        cols, rows = runs.pop(kids[big])
-        order = [(c, True) for c in reversed(kids[:big])]
-        order += [(c, False) for c in kids[big + 1 :]]
-        for child, small_first in order:
-            c_cols, c_rows = runs.pop(child)
-            if node.label == 0:
-                _star_lines(cols, c_cols, small_first)
-                _add_lines(rows, c_rows)
+        sizes = [c.size for c in node.children]
+        big = sizes.index(max(sizes))
+        parts = stack[-len(sizes) :]
+        del stack[-len(sizes) :]
+        cols, rows = _leaf_runs(parts[big])
+        stars, adds = (cols, rows) if node.label == 0 else (rows, cols)
+        for i in chain(range(big - 1, -1, -1), range(big + 1, len(parts))):
+            part = parts[i]
+            small_first = i < big
+            if type(part) is not tuple:
+                # a one-cell diagram: a line of size 1 in stars, and in adds
+                # one more vertex on the first line
+                ones = stars[-1]
+                if ones[0] != 1:
+                    stars.append([1, deque([[part]])])
+                elif small_first:
+                    ones[1].appendleft([part])
+                else:
+                    ones[1].append([part])
+                first = adds[0]
+                if len(first[1]) > 1:  # only its first line grows: split it off
+                    first = [first[0], deque([first[1].popleft()])]
+                    adds.insert(0, first)
+                first[0] += 1
+                first[1][0].append(part)
             else:
-                _star_lines(rows, c_rows, small_first)
-                _add_lines(cols, c_cols)
-        runs[node] = (cols, rows)
-    cols, rows = runs[t.root]
+                c_stars, c_adds = part if node.label == 0 else part[::-1]
+                _star_lines(stars, c_stars, small_first)
+                _add_lines(adds, c_adds)
+        stack.append((cols, rows))
+    cols, rows = _leaf_runs(stack[0])
     col_of = [0] * t.n
     for j, line in enumerate(_lines(cols)):
         for v in line:

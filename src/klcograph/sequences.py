@@ -3,10 +3,13 @@
 ``kappa_hat`` computes the minimum-independent-parts sequence of a cograph
 in one post-order pass over the cotree, on run-length lists, merging every
 child's sequence into the sequence of the child with the most leaves
-(small-to-large); ``lambda_hat`` is its conjugate.  The plain-array
-traversals ``kappa_hat_naive`` and ``lambda_hat_naive`` are the references
-that the tests and benchmarks compare against; the latter swaps the two
-operators, so it checks the conjugacy on the cotree side.
+(small-to-large), for O(n log n) total work.  The pass keeps the results of
+finished subtrees on a value stack, and folds a leaf child into its
+sibling's run list in O(1), since a leaf's sequence is [1].  ``lambda_hat``
+is the conjugate of kappa.  The plain-array traversals ``kappa_hat_naive``
+and ``lambda_hat_naive`` are the references that the tests and benchmarks
+compare against; the latter swaps the two operators, so it checks the
+conjugacy on the cotree side.
 """
 
 from __future__ import annotations
@@ -221,21 +224,42 @@ def kappa_hat(t: Cotree) -> PartitionSequence:
     number, length its clique cover number.
 
     One post-order pass over run lists; each node merges its children into
-    the child with the most leaves.
+    the child with the most leaves.  A leaf's sequence is [1], so a leaf
+    child is folded in O(1): it joins the run of 1s at a 0-node and adds 1
+    to the first entry at a 1-node.
     """
-    results: dict[CotreeNode, list[list[int]]] = {}
+    # Run lists of the finished subtrees whose parent is still to come, in
+    # postorder, so a node's children are the top len(children) entries.  A
+    # leaf is None.
+    stack: list[list[list[int]] | None] = []
     for node in postorder(t.root):
-        if node.is_leaf:
-            results[node] = [[1, 1]]
+        if node.vertex is not None:
+            stack.append(None)
             continue
-        largest = max(node.children, key=lambda c: c.size)
-        acc = results.pop(largest)
+        sizes = [c.size for c in node.children]
+        big = sizes.index(max(sizes))
+        parts = stack[-len(sizes) :]
+        del stack[-len(sizes) :]
+        acc = parts.pop(big) or [[1, 1]]
         merge = _rle_star_into if node.label == 0 else _rle_add_into
-        for child in node.children:
-            if child is not largest:
-                merge(acc, results.pop(child))
-        results[node] = acc
-    return PartitionSequence.from_runs(results[t.root])
+        for part in parts:
+            if part is not None:
+                merge(acc, part)
+        leaves = parts.count(None)
+        if node.label == 0:
+            if acc[-1][0] == 1:
+                acc[-1][1] += leaves
+            elif leaves:
+                acc.append([1, leaves])
+        elif leaves:
+            first = acc[0]
+            if first[1] > 1:  # only its first entry grows: split it off
+                first[1] -= 1
+                acc.insert(0, [first[0] + leaves, 1])
+            else:
+                first[0] += leaves
+        stack.append(acc)
+    return PartitionSequence.from_runs(stack[0] or [[1, 1]])
 
 
 def lambda_hat(t: Cotree) -> PartitionSequence:

@@ -8,10 +8,14 @@ import random
 import statistics
 import time
 
+from hypothesis import strategies as st
+
 from klcograph import (
     Cotree,
+    CotreeNode,
     Graph,
     build_cotree,
+    check_cotree,
     complement,
     disjoint_union,
     join,
@@ -60,6 +64,100 @@ def wide_and_tied_cotrees(seed: int, count: int) -> list[Cotree]:
             g = l_copies_of_k_clique(l, k)
             trees += [build_cotree(g), build_cotree(complement(g))]
     return trees
+
+
+@st.composite
+def cotrees(draw, max_leaves: int = 40) -> Cotree:
+    """Cotrees for property tests, with shapes that shrink to small trees.
+
+    Three kinds, each with either root label: wide random shapes with 2 to 16
+    children per node, so that leaves often sit on both sides of a node's
+    largest child; deep chains with one leaf per level, hung left or right
+    of the spine; and lK_k or its complement, whose siblings all tie in size.
+    Leaf ids are a drawn permutation.
+    """
+    kind = draw(st.sampled_from(("wide", "deep", "ties")))
+    top = draw(st.integers(0, 1))
+    if kind == "ties":
+        g = l_copies_of_k_clique(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        return build_cotree(complement(g) if top else g)
+    if kind == "deep":
+        sides = draw(st.lists(st.booleans(), max_size=max_leaves - 1))
+        ids = draw(st.permutations(range(len(sides) + 1)))
+        node = CotreeNode(vertex=ids[0])
+        label = top if len(sides) % 2 else 1 - top
+        for v, left in zip(ids[1:], sides):
+            leaf = CotreeNode(vertex=v)
+            node = CotreeNode(label=label, children=[leaf, node] if left else [node, leaf])
+            label = 1 - label
+        return Cotree(node, len(ids))
+    n = draw(st.integers(1, max_leaves))
+    ids = iter(draw(st.permutations(range(n))))
+    root = CotreeNode()
+    stack = [(root, n, top)]  # (node, leaf budget, label if internal)
+    while stack:
+        node, budget, label = stack.pop()
+        if budget == 1:
+            node.vertex = next(ids)
+            continue
+        node.label = label
+        count = draw(st.integers(2, min(16, budget)))
+        cuts = sorted(
+            draw(
+                st.lists(
+                    st.integers(1, budget - 1),
+                    min_size=count - 1,
+                    max_size=count - 1,
+                    unique=True,
+                )
+            )
+        )
+        for a, b in zip([0] + cuts, cuts + [budget]):
+            child = CotreeNode()
+            node.children.append(child)
+            stack.append((child, b - a, 1 - label))
+    return Cotree(root, n)
+
+
+def cotree_from_text_reference(text: str) -> Cotree:
+    """Character-by-character reader of ``cotree_to_text``'s form, the
+    reference for ``cotree_from_text``: the same trees and the same errors."""
+    pos = 0
+    leaves = 0
+    root_box: list[CotreeNode] = []
+    open_nodes: list[CotreeNode] = []  # internal nodes whose ')' is pending
+    while True:
+        start = pos
+        while pos < len(text) and text[pos] not in "(),":
+            pos += 1
+        token = text[start:pos].strip()
+        sink = open_nodes[-1].children if open_nodes else root_box
+        if pos < len(text) and text[pos] == "(":
+            if token not in ("0", "1"):
+                raise ValueError(f"bad internal node label {token!r}")
+            pos += 1  # consume '('
+            node = CotreeNode(label=int(token))
+            sink.append(node)
+            open_nodes.append(node)
+            continue  # its first child comes next
+        if not token:
+            raise ValueError("empty leaf name in cotree text")
+        sink.append(CotreeNode(vertex=int(token)))
+        leaves += 1
+        # a node just ended: a ',' starts its next sibling, a ')' ends its parent
+        while open_nodes and pos < len(text) and text[pos] == ")":
+            pos += 1
+            open_nodes.pop()
+        if not open_nodes:
+            break
+        if pos >= len(text) or text[pos] != ",":
+            raise ValueError("unbalanced parentheses in cotree text")
+        pos += 1  # consume ','
+    if pos != len(text.rstrip()):
+        raise ValueError("trailing characters after cotree text")
+    t = Cotree(root_box[0], leaves)
+    check_cotree(t)
+    return t
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

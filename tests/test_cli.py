@@ -337,8 +337,8 @@ def test_vertex_id_above_the_ceiling_exits_two(capsys, tmp_path):
 
 
 # Vertex ids in fuzzed edge lists stay at or below 10**4: below the parser's
-# ceiling of 2**20 vertices, one edge "0 1000000" still allocates 10**6
-# adjacency sets, seconds per example.
+# ceiling of 2**20 vertices, one edge "0 1000000" still makes a graph of 10**6
+# vertices, whose recognition takes seconds per example.
 FUZZ_MAX_ID = 10**4
 FUZZ_COMMANDS = (
     ("recognize",),

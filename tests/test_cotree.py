@@ -238,6 +238,8 @@ def test_text_and_json_round_trips():
         '{"label": 0, "children": [{"vertex": 0.9}, {"vertex": 1}]}',
         '{"label": true, "children": [{"vertex": 0}, {"vertex": 1}]}',
         '{"label": 1, "children": [{"vertex": 1e0}, {"vertex": 0}]}',
+        '{"vertex": 0, "name": NaN}',
+        '{"vertex": 0, "name": -Infinity}',
     ):
         with pytest.raises(ValueError):
             cotree_from_json(bad)
@@ -277,8 +279,7 @@ def test_check_cotree_rejects_repeated_labels_in_cotree():
 
 
 def test_bool_labels_are_rejected():
-    # True == 1 passes a membership test in (0, 1), but cotree_to_text writes
-    # the label as "True", which cotree_from_text rejects
+    # True == 1 passes a membership test in (0, 1), but a bool is no label
     for top in (True, False, 2):
         with pytest.raises(ValueError):
             deep_alternating_cotree(4, top)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings
@@ -68,6 +69,27 @@ def test_parse_edge_list_basic():
 def test_parse_edge_list_with_vertex_count_header():
     g = parse_edge_list("5\n0 1\n")
     assert g.n == 5 and g.m == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_edge_list("1048576\n0 1048575\n"),
+        lambda: parse_edge_list("# line loop\n1048576\n0 1048575\n"),
+        lambda: Graph.from_edges(2**20, [(0, 2**20 - 1)]),
+    ],
+)
+def test_vertices_in_no_edge_allocate_no_set(build):
+    # 2**20 adjacency sets and their frozen copies take ~450 MB; the adjacency
+    # tuple alone takes 8 MB
+    tracemalloc.start()
+    try:
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 2**20 and list(g.edges()) == [(0, 2**20 - 1)]
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_parse_edge_list_comments_and_blanks():
