@@ -26,7 +26,7 @@ from .cotree import (
 from .ferrers import build_ferrers, build_ferrers_naive, render_ascii, render_svg
 from .generate import deep_alternating_cotree, random_cotree
 from .graphs import Graph, parse_edge_list, parse_graph6
-from .oracle import OracleBudget, kappa_hat_oracle, lambda_hat_oracle
+from .oracle import DEFAULT_BUDGET, OracleBudget, kappa_hat_oracle, lambda_hat_oracle
 from .sequences import (
     KLColouring,
     bichromatic_number,
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_oracle(p: argparse.ArgumentParser, oracle_help: str | None = None) -> None:
         p.add_argument("--oracle", action="store_true", help=oracle_help)
-        p.add_argument("--budget", type=int, default=12)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_vertices)
 
     p = sub.add_parser("recognize", help="build the cotree or report a P4")
     add_input(p)

@@ -1,8 +1,8 @@
 """Cograph recognition, cotrees and P4 witnesses.
 
 Construction splits each vertex set into the connected components of the
-graph (0-nodes) or of its complement (1-nodes); complement components are
-found without materializing the complement.  The parts of a 0-node are
+graph (0-nodes) or of its complement (1-nodes); one search, with two set
+operations swapped for the complement, finds both.  The parts of a 0-node are
 connected and those of a 1-node co-connected, so below the root each set
 needs one search only.  A search on a set S costs O(|S|^2) set-element
 operations, so recognition is O(n^2) per cotree level and O(n^3) in the worst
@@ -132,22 +132,27 @@ def postorder(root: CotreeNode) -> list[CotreeNode]:
     return order
 
 
-# Both searches below pop the frontier one vertex at a time, which shrinks the
-# set of vertices not yet reached as they go.  Once the frontier holds four
-# times as many vertices as that set, each of those vertices is instead tested
-# against the whole frontier at once, and the frontier is spent.  So a search
-# does not pop its whole last layer just to learn that the few vertices left
-# over lie outside the component.  (Testing earlier, at a frontier as large as
-# the unreached set, made the deep alternating family ten times slower at
-# n = 2000: each test scans the frontier until it meets a non-neighbour.)
-# Each search starts at ``todo.pop()``, which resumes its scan of the set's
-# slots where the previous pop stopped; ``next(iter(todo))`` would rescan
-# every slot that earlier searches emptied, so C parts would cost O(C |S|).
+# One search serves the graph and its complement.  It pops the frontier one
+# vertex at a time, which shrinks the set of vertices not yet reached as it
+# goes.  Once the frontier holds four times as many vertices as that set, each
+# of those vertices is instead tested against the whole frontier at once, and
+# the frontier is spent.  So a search does not pop its whole last layer just
+# to learn that the few vertices left over lie outside the component.
+# (Testing earlier, at a frontier as large as the unreached set, made the deep
+# alternating family ten times slower at n = 2000: each test scans the
+# frontier until it meets a non-neighbour.)  A search starts at
+# ``todo.pop()``, which resumes its scan of the set's slots where the previous
+# pop stopped; ``next(iter(todo))`` would rescan every slot that earlier
+# searches emptied, so C parts would cost O(C |S|).
 
 
-def _components(g: Graph, vertices: set[int]) -> list[set[int]]:
-    """Connected components of G[vertices]."""
+def _components(g: Graph, vertices: set[int], co: int = 0) -> list[set[int]]:
+    """Connected components of G[vertices], or with ``co`` set, of the
+    complement of G[vertices], which is never built: a vertex then reaches
+    the vertices it does not see, and misses a layer it sees all of."""
     adj = g.adj
+    reach = set.difference if co else set.intersection
+    misses = set.issubset if co else set.isdisjoint
     comps: list[set[int]] = []
     todo = set(vertices)
     while todo:
@@ -157,33 +162,10 @@ def _components(g: Graph, vertices: set[int]) -> list[set[int]]:
         while frontier and todo:
             if len(frontier) >= 4 * len(todo):
                 layer = set(frontier)
-                new = {w for w in todo if not adj[w].isdisjoint(layer)}
+                new = {w for w in todo if not misses(layer, adj[w])}
                 frontier.clear()
             else:
-                new = adj[frontier.pop()] & todo
-            comp |= new
-            todo -= new
-            frontier.extend(new)
-        comps.append(comp)
-    return comps
-
-
-def _co_components(g: Graph, vertices: set[int]) -> list[set[int]]:
-    """Connected components of the complement, restricted to ``vertices``."""
-    adj = g.adj
-    comps: list[set[int]] = []
-    todo = set(vertices)
-    while todo:
-        start = todo.pop()
-        comp = {start}
-        frontier = [start]
-        while frontier and todo:
-            if len(frontier) >= 4 * len(todo):
-                layer = set(frontier)
-                new = {w for w in todo if not adj[w].issuperset(layer)}
-                frontier.clear()
-            else:
-                new = todo - adj[frontier.pop()]
+                new = reach(todo, adj[frontier.pop()])
             comp |= new
             todo -= new
             frontier.extend(new)
@@ -195,29 +177,27 @@ def _decompose(g: Graph) -> CotreeNode | P4Witness:
     """Root of the canonical cotree of g, or an induced P4 of g.
 
     Every part of a 0-node is connected and every part of a 1-node is
-    co-connected, so below the root one test per vertex set decides it: a
+    co-connected, so below the root one search per vertex set decides it: a
     child of a 0-node is split into co-components, a child of a 1-node into
-    components, and a set that does not split is prime.
+    components, and a set that does not split is prime.  The root tries
+    components first.
     """
     root_box: list[CotreeNode] = []
-    # stack entries: (vertex set, parent label or None at the root, sink list
-    # that the built node is appended to)
-    stack: list[tuple[set[int], int | None, list[CotreeNode]]] = [
-        (set(range(g.n)), None, root_box)
+    # stack entries: (vertex set, node labels still to try, sink list that
+    # the built node is appended to); label 1 searches the complement
+    stack: list[tuple[set[int], tuple[int, ...], list[CotreeNode]]] = [
+        (set(range(g.n)), (0, 1), root_box)
     ]
     while stack:
-        vertices, parent, sink = stack.pop()
+        vertices, labels, sink = stack.pop()
         if len(vertices) == 1:
             sink.append(CotreeNode(vertex=next(iter(vertices))))
             continue
-        parts: list[set[int]] = []
-        if parent != 0:
-            parts = _components(g, vertices)
-            label = 0
-        if len(parts) < 2 and parent != 1:
-            parts = _co_components(g, vertices)
-            label = 1
-        if len(parts) < 2:
+        for label in labels:
+            parts = _components(g, vertices, label)
+            if len(parts) > 1:
+                break
+        else:
             witness = _p4_in_module(g, vertices)
             if not witness.holds_in(g):
                 raise RuntimeError("P4 witness does not hold in the graph")
@@ -225,8 +205,9 @@ def _decompose(g: Graph) -> CotreeNode | P4Witness:
         node = CotreeNode(label=label)
         sink.append(node)
         parts.sort(key=lambda p: (len(p), min(p)), reverse=True)
+        below = (1 - label,)
         for part in parts:  # reversed pushes keep child order
-            stack.append((part, label, node.children))
+            stack.append((part, below, node.children))
     return root_box[0]
 
 
@@ -267,7 +248,7 @@ def _p4_in_module(g: Graph, s: set[int]) -> P4Witness:
                 if unseen:
                     return P4Witness(v, x, y, min(unseen))
     reps = {min(comp) for comp in comps}
-    cocomps = sorted(_co_components(g, near), key=min)
+    cocomps = sorted(_components(g, near, 1), key=min)
     for cocomp in cocomps:
         if len(cocomp) == 1:
             continue

@@ -13,6 +13,7 @@ from klcograph import (
     evaluate_cotree,
     induced_subgraph,
     is_kl_colourable,
+    kappa_at,
     kappa_hat,
     kappa_hat_oracle,
     random_cotree,
@@ -28,6 +29,10 @@ from helpers import complete_graph, l_copies_of_k_clique
 def test_certificate_size_enforced():
     with pytest.raises(ValueError):
         BoxCertificate(frozenset({0, 1, 2}), 2, 2)
+    # four entries, two distinct vertices
+    with pytest.raises(ValueError):
+        BoxCertificate([0, 0, 1, 1], 2, 2)
+    assert BoxCertificate([1, 0], 2, 1).vertices == frozenset({0, 1})
     for k, l in ((0, 1), (1, 0), (-1, -1)):
         with pytest.raises(ValueError):
             BoxCertificate(frozenset(), k, l)
@@ -82,6 +87,13 @@ def test_certify_returns_colouring_or_certificate_exhaustively():
                     assert result.k == k + 1 and result.l == l + 1
                     assert len(result.vertices) == (k + 1) * (l + 1)
                     assert verify_box_cograph(g, result)
+                    # vertex-minimal: without any one vertex the rest is
+                    # (k,l)-colourable (for k = l = 0 the rest is empty)
+                    for x in result.vertices:
+                        rest = result.vertices - {x}
+                        if rest:
+                            sub = build_cotree(induced_subgraph(g, rest))
+                            assert kappa_at(kappa_hat(sub), l) <= k
 
 
 def test_certificates_are_box_cographs_per_recursive_oracle():

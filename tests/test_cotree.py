@@ -23,7 +23,7 @@ from klcograph import (
     induced_subgraph,
     random_cotree,
 )
-from klcograph.cotree import postorder
+from klcograph.cotree import _components, postorder
 
 from helpers import (
     _doubling_ratio,
@@ -137,6 +137,88 @@ def test_near_cograph_witness_runs_through_the_flipped_pair(kind):
             for w in (build_cotree(g), find_p4(g)):
                 assert isinstance(w, P4Witness) and w.holds_in(g)
                 assert {u, v} <= set(w.vertices())
+
+
+def _base_cotree(kind, n, arg):
+    seed = 1300 + n
+    return deep_alternating_cotree(n, arg) if kind == "deep" else random_cotree(n, seed, arg)
+
+
+def test_recognition_output_is_pinned():
+    # A cograph's canonical cotree is unique; which P4 a near-cograph
+    # reports is the decomposition's choice, and build_cotree and find_p4
+    # make the same one.
+    for (kind, n, arg), text in (
+        (("deep", 21, 0), "0(20,1(19,0(18,1(17,0(16,1(15,0(14,1(13,0(12,1(11,0(10,1(9,0(8,"
+         "1(7,0(6,1(5,0(4,1(3,0(2,1(0,1))))))))))))))))))))"),
+        (("deep", 40, 1), "1(39,0(38,1(37,0(36,1(35,0(34,1(33,0(32,1(31,0(30,1(29,0(28,"
+         "1(27,0(26,1(25,0(24,1(23,0(22,1(21,0(20,1(19,0(18,1(17,0(16,1(15,0(14,1(13,"
+         "0(12,1(11,0(10,1(9,0(8,1(7,0(6,1(5,0(4,1(3,0(2,1(0,1)))))))))))))))))))))))))))"
+         "))))))))))))"),
+        (("random", 32, 4), "0(1(4,5,0(0,1(3,0(1,2)))),1(6,0(12,1(10,11),1(7,8,9))),1(13,"
+         "0(1(16,0(14,15),0(17,20,21,1(18,19))),1(0(22,23,24),0(27,1(25,26),1(31,"
+         "0(28,29,30)))))))"),
+        (("random", 48, 8), "1(0(1(10,11,12,13),1(8,9,0(0,1,6,7,1(2,3),1(4,5)))),0(14,17,"
+         "29,1(15,16),1(0(27,28),0(18,24,1(22,23),1(25,26),1(19,20,21)))),0(47,"
+         "1(0(30,31),0(32,33)),1(0(44,45,46),0(40,43,1(41,42)),0(1(34,35),"
+         "1(36,37,38,39)))))"),
+    ):
+        g = evaluate_cotree(_base_cotree(kind, n, arg))
+        assert cotree_to_text(build_cotree(g)) == text
+    for (kind, n, arg, flip), pair, p4 in (
+        (("deep", 24, 0, 0), (1, 17), (0, 2, 1, 17)),
+        (("deep", 37, 1, 1), (5, 25), (0, 6, 5, 25)),
+        (("random", 45, 4, 2), (1, 8), (1, 5, 0, 8)),
+        (("random", 60, 16, 3), (11, 52), (5, 11, 52, 45)),
+    ):
+        g, flipped = _near_cograph(
+            evaluate_cotree(_base_cotree(kind, n, arg)), random.Random(1300 + n), flip
+        )
+        assert flipped == pair
+        assert find_p4(g).vertices() == build_cotree(g).vertices() == p4
+
+
+def _reference_components(g, s):
+    """Components of G[s] by merging the parts at the ends of each edge."""
+    part = {v: frozenset([v]) for v in s}
+    for u in s:
+        for v in g.adj[u] & s:
+            if part[u] is not part[v]:
+                merged = part[u] | part[v]
+                for w in merged:
+                    part[w] = merged
+    return set(part.values())
+
+
+def test_one_search_finds_components_of_a_graph_and_its_complement():
+    rng = random.Random(13)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.random(), rng)
+        co = complement(g)
+        s = {v for v in range(n) if rng.random() < 0.8}
+        parts, co_parts = ({frozenset(p) for p in _components(g, s, c)} for c in (0, 1))
+        assert parts == _reference_components(g, s)
+        assert co_parts == {frozenset(p) for p in _components(co, s)}
+        assert co_parts == _reference_components(co, s)
+
+
+def test_recognition_of_plain_set_adjacency_matches_frozensets():
+    # Graph(...) accepts any sets as adjacency; the search calls set methods
+    # on its own sets only, so a plain-set graph is recognized alike.
+    rng = random.Random(14)
+    graphs = [random_graph(rng.randint(1, 14), rng.random(), rng) for _ in range(100)]
+    for n in (20, 41, 60):
+        for base in (deep_alternating_cotree(n, n % 2), random_cotree(n, rng, 8)):
+            g = evaluate_cotree(base)
+            graphs += [g, _near_cograph(g, rng, rng.randrange(4))[0]]
+    for g in graphs:
+        plain = Graph(g.n, tuple(set(a) for a in g.adj))
+        out, plain_out = build_cotree(g), build_cotree(plain)
+        if isinstance(out, P4Witness):
+            assert plain_out == out == find_p4(plain)
+        else:
+            assert cotree_to_text(plain_out) == cotree_to_text(out)
 
 
 def test_p4_free_random_graphs_round_trip():
