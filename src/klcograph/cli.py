@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 negative answer (not colourable / not a cograph),
-2 usage or parse error.  Exit-1 results always carry a machine-readable
-witness (a P4 or a box-cograph certificate) when one exists.
+Every graph command is a function ``(args, g) -> str`` that returns its
+standard output.  ``main`` reads and parses the input once, prints what the
+command returns, and turns the one negative exception, which carries a JSON
+witness (a P4 or a box-cograph certificate), into exit 1.  Exit codes: 0
+success, 1 negative answer (not colourable / not a cograph), 2 usage or parse
+error.
 """
 
 from __future__ import annotations
@@ -23,12 +26,19 @@ from .cotree import (
     cotree_to_json,
     cotree_to_text,
 )
-from .ferrers import build_ferrers, build_ferrers_naive, render_ascii, render_svg
+from .ferrers import (
+    FerrersRepresentation,
+    build_ferrers,
+    build_ferrers_naive,
+    render_ascii,
+    render_svg,
+)
 from .generate import deep_alternating_cotree, random_cotree
 from .graphs import Graph, parse_edge_list, parse_graph6
 from .oracle import DEFAULT_BUDGET, OracleBudget, kappa_hat_oracle, lambda_hat_oracle
 from .sequences import (
     KLColouring,
+    PartitionSequence,
     bichromatic_number,
     cochromatic_number,
     kappa_at,
@@ -42,15 +52,16 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+class _Negative(Exception):
+    """A negative answer; its one argument is the JSON witness ``main`` prints."""
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    text = _read_input(args.input)
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
     if args.format == "g6":
         return parse_graph6(text)
     return parse_edge_list(text)
@@ -75,7 +86,49 @@ def _cert_payload(g: Graph, cert: BoxCertificate) -> str:
     )
 
 
-def _colouring_payload(g: Graph, col: KLColouring) -> str:
+def _need_cotree(g: Graph) -> Cotree:
+    built = build_cotree(g)
+    if isinstance(built, P4Witness):
+        raise _Negative(json.dumps({"p4": [g.label(v) for v in built.vertices()]}))
+    return built
+
+
+def _sequence(args: argparse.Namespace, g: Graph, oracle, engine) -> PartitionSequence:
+    """The step kappa, lambda and params share: by the oracle, or off the cotree."""
+    if args.oracle:
+        return oracle(g, OracleBudget(max_vertices=args.budget))
+    if not g.n:
+        return PartitionSequence()
+    return engine(_need_cotree(g))
+
+
+def _colouring(args: argparse.Namespace, g: Graph) -> KLColouring:
+    """The step check and certify share: a (k,l)-colouring of g, or
+    ``_Negative`` with the box certificate."""
+    if not g.n:
+        return KLColouring((), ())
+    result = certify_non_colourable(_need_cotree(g), args.k, args.l)
+    if isinstance(result, BoxCertificate):
+        raise _Negative(_cert_payload(g, result))
+    return result
+
+
+def cmd_recognize(args: argparse.Namespace, g: Graph) -> str:
+    t = _need_cotree(g)
+    return cotree_to_json(t) if args.json else cotree_to_text(t)
+
+
+def _cmd_sequence(args: argparse.Namespace, g: Graph, oracle, engine) -> str:
+    return _sequence(args, g, oracle, engine).to_text()
+
+
+def cmd_check(args: argparse.Namespace, g: Graph) -> str:
+    _colouring(args, g)
+    return json.dumps({"colourable": True, "k": args.k, "l": args.l})
+
+
+def cmd_certify(args: argparse.Namespace, g: Graph) -> str:
+    col = _colouring(args, g)
     return json.dumps(
         {
             "independent_sets": [
@@ -88,84 +141,25 @@ def _colouring_payload(g: Graph, col: KLColouring) -> str:
     )
 
 
-def _need_cotree(g: Graph) -> Cotree:
-    built = build_cotree(g)
-    if isinstance(built, P4Witness):
-        print(json.dumps({"p4": [g.label(v) for v in built.vertices()]}))
-        raise SystemExit(EXIT_NEGATIVE)
-    return built
-
-
-def cmd_recognize(args: argparse.Namespace) -> int:
-    t = _need_cotree(_load_graph(args))
-    print(cotree_to_json(t) if args.json else cotree_to_text(t))
-    return EXIT_OK
-
-
-def _cmd_sequence(args: argparse.Namespace, which: str) -> int:
-    g = _load_graph(args)
-    if args.oracle:
-        budget = OracleBudget(max_vertices=args.budget)
-        fn = kappa_hat_oracle if which == "kappa" else lambda_hat_oracle
-        print(fn(g, budget).to_text())
-        return EXIT_OK
-    fn = kappa_hat if which == "kappa" else lambda_hat
-    print(fn(_need_cotree(g)).to_text())
-    return EXIT_OK
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    t = _need_cotree(g)
-    result = certify_non_colourable(t, args.k, args.l)
-    if isinstance(result, BoxCertificate):
-        print(_cert_payload(g, result))
-        return EXIT_NEGATIVE
-    print(json.dumps({"colourable": True, "k": args.k, "l": args.l}))
-    return EXIT_OK
-
-
-def cmd_certify(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    t = _need_cotree(g)
-    result = certify_non_colourable(t, args.k, args.l)
-    if isinstance(result, BoxCertificate):
-        print(_cert_payload(g, result))
-        return EXIT_NEGATIVE
-    print(_colouring_payload(g, result))
-    return EXIT_OK
-
-
-def cmd_ferrers(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    t = _need_cotree(g)
-    f = build_ferrers(t)
+def cmd_ferrers(args: argparse.Namespace, g: Graph) -> str:
+    f = build_ferrers(_need_cotree(g)) if g.n else FerrersRepresentation(())
     if args.style == "svg":
-        print(render_svg(f))
-    elif args.style == "json":
-        print(json.dumps([[f.label(v) for v in row] for row in f.rows]))
-    else:
-        print(render_ascii(f))
-    return EXIT_OK
+        return render_svg(f)
+    if args.style == "json":
+        return json.dumps([[f.label(v) for v in row] for row in f.rows])
+    return render_ascii(f)
 
 
-def cmd_params(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    if args.oracle:
-        seq = kappa_hat_oracle(g, OracleBudget(max_vertices=args.budget))
-    else:
-        seq = kappa_hat(_need_cotree(g))
-    print(
-        json.dumps(
-            {
-                "chi": kappa_at(seq, 0),
-                "theta": len(seq),
-                "bichromatic": bichromatic_number(seq),
-                "cochromatic": cochromatic_number(seq),
-            }
-        )
+def cmd_params(args: argparse.Namespace, g: Graph) -> str:
+    seq = _sequence(args, g, kappa_hat_oracle, kappa_hat)
+    return json.dumps(
+        {
+            "chi": kappa_at(seq, 0),
+            "theta": len(seq),
+            "bichromatic": bichromatic_number(seq),
+            "cochromatic": cochromatic_number(seq),
+        }
     )
-    return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -226,23 +220,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the cotree as JSON")
     p.set_defaults(fn=cmd_recognize)
 
-    for name in ("kappa", "lambda"):
+    for name, oracle, engine in (
+        ("kappa", kappa_hat_oracle, kappa_hat),
+        ("lambda", lambda_hat_oracle, lambda_hat),
+    ):
         p = sub.add_parser(name, help=f"print the {name} sequence")
         add_input(p)
         add_oracle(p, "brute force; works on non-cographs within the budget")
-        p.set_defaults(fn=lambda a, which=name: _cmd_sequence(a, which))
+        p.set_defaults(
+            fn=functools.partial(_cmd_sequence, oracle=oracle, engine=engine)
+        )
 
-    p = sub.add_parser("check", help="decide (k,l)-colourability")
-    add_input(p)
-    p.add_argument("-k", type=_natural, required=True)
-    p.add_argument("-l", type=_natural, required=True)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("certify", help="colouring or box-cograph certificate")
-    add_input(p)
-    p.add_argument("-k", type=_natural, required=True)
-    p.add_argument("-l", type=_natural, required=True)
-    p.set_defaults(fn=cmd_certify)
+    for name, about, fn in (
+        ("check", "decide (k,l)-colourability", cmd_check),
+        ("certify", "colouring or box-cograph certificate", cmd_certify),
+    ):
+        p = sub.add_parser(name, help=about)
+        add_input(p)
+        p.add_argument("-k", type=_natural, required=True)
+        p.add_argument("-l", type=_natural, required=True)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("ferrers", help="Ferrers diagram representation")
     add_input(p)
@@ -265,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--adversarial", action="store_true")
     p.add_argument("--algorithm", choices=("kappa", "ferrers"), default="kappa")
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 
@@ -285,12 +281,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        if args.command == "bench":
+            return cmd_bench(args)
+        print(args.fn(args, _load_graph(args)))
+    except _Negative as exc:
+        print(exc.args[0])
+        return EXIT_NEGATIVE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,16 +12,19 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from klcograph import (
+    FerrersRepresentation,
     Graph,
     P4Witness,
     build_cotree,
     evaluate_cotree,
+    find_p4,
     kappa_hat,
     kappa_hat_naive,
     lambda_hat_naive,
     parse_edge_list,
     parse_graph6,
     random_cotree,
+    render_svg,
 )
 import klcograph
 from klcograph import cli
@@ -261,6 +264,56 @@ def test_params_oracle_on_empty_graph(capsys, tmp_path):
     assert json.loads(out) == {"chi": 0, "theta": 0, "bichromatic": 0, "cochromatic": 0}
 
 
+GRAPH_COMMANDS = (
+    ("recognize",),
+    ("recognize", "--json"),
+    ("kappa",),
+    ("lambda",),
+    ("params",),
+    ("check", "-k", "1", "-l", "1"),
+    ("certify", "-k", "1", "-l", "1"),
+    ("ferrers", "--ascii"),
+    ("ferrers", "--svg"),
+    ("ferrers", "--json"),
+)
+
+
+def test_every_graph_command_reports_a_p4_with_exit_one():
+    g = Graph.from_edges(4, [(0, 2), (2, 1), (1, 3)])
+    expected = json.dumps({"p4": [str(v) for v in find_p4(g).vertices()]}) + "\n"
+    edges = "".join(f"{u} {v}\n" for u, v in g.edges())
+    for fmt, text in (("edges", edges), ("g6", encode_graph6(g))):
+        for command in GRAPH_COMMANDS:
+            argv = [command[0], "-", "--format", fmt, *command[1:]]
+            assert run_on_stdin(argv, text) == (1, expected, ""), argv
+
+
+EMPTY_GRAPH_ANSWERS = {
+    ("kappa",): "",
+    ("lambda",): "",
+    ("params",): '{"chi": 0, "theta": 0, "bichromatic": 0, "cochromatic": 0}',
+    ("check", "-k", "1", "-l", "1"): '{"colourable": true, "k": 1, "l": 1}',
+    ("certify", "-k", "1", "-l", "1"): '{"independent_sets": [], "cliques": []}',
+    ("ferrers", "--ascii"): "",
+    ("ferrers", "--svg"): render_svg(FerrersRepresentation(())),
+    ("ferrers", "--json"): "[]",
+}
+
+
+@pytest.mark.parametrize("fmt, text", (("edges", "0\n"), ("g6", "?")), ids=("edges", "g6"))
+def test_empty_graph_answers_without_the_oracle(fmt, text):
+    for command in GRAPH_COMMANDS:
+        argv = [command[0], "-", "--format", fmt, *command[1:]]
+        code, out, err = run_on_stdin(argv, text)
+        if command[0] == "recognize":
+            # no cotree has zero leaves
+            assert (code, out) == (2, "") and err.startswith("error: "), argv
+        else:
+            assert (code, out, err) == (0, EMPTY_GRAPH_ANSWERS[command] + "\n", ""), argv
+        if command[0] in ("kappa", "lambda", "params"):
+            assert run_on_stdin([*argv, "--oracle"], text) == (code, out, err), argv
+
+
 def test_bench_csv_shape(capsys):
     for extra in ((), ("--algorithm", "ferrers"), ("--adversarial",),
                   ("--algorithm", "ferrers", "--adversarial")):
@@ -344,8 +397,11 @@ FUZZ_COMMANDS = (
     ("recognize",),
     ("recognize", "--json"),
     ("kappa",),
+    ("lambda",),
+    ("params",),
     ("check", "-k", "1", "-l", "1"),
     ("certify", "-k", "2", "-l", "1"),
+    ("ferrers", "--json"),
 )
 FUZZ_CHARS = "0123456789 \t\n-#~?@_>{é\x00"
 

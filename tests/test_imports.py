@@ -38,3 +38,43 @@ def test_no_assert_statement_in_sources():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "assert statements: " + ", ".join(found)
+
+
+# The functions that may write to stdout: commands return their text, and
+# main prints it; bench streams its CSV row by row.
+PRINTERS = {("cli.py", "main"), ("cli.py", "cmd_bench")}
+
+
+def _exits(node):
+    """Whether ``node`` raises SystemExit itself or through ``sys.exit``."""
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "SystemExit"
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "exit"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "sys"
+    )
+
+
+def test_one_answer_path_through_the_cli():
+    # every answer leaves through cli.main, which maps the one negative
+    # exception to exit 1; a print or an exit elsewhere would bypass it
+    prints, exits = [], []
+    for name, tree in _sources():
+        for top in tree.body:
+            if (name, getattr(top, "name", None)) not in PRINTERS:
+                prints += [
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"
+                ]
+        for fn in ast.walk(tree):
+            if isinstance(fn, FUNCTIONS):
+                exits += [f"{name}:{node.lineno}" for node in ast.walk(fn) if _exits(node)]
+    assert not prints, "print outside cli.main and cli.cmd_bench: " + ", ".join(prints)
+    assert not exits, "SystemExit raised in a function: " + ", ".join(exits)

@@ -1,18 +1,26 @@
 """Properties of the tree engines and the cotree readers over generated cotrees."""
 
+import functools
+
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import cotree_from_text_reference, cotrees
 from klcograph import (
+    Cotree,
     build_ferrers,
     build_ferrers_naive,
+    complement_cotree,
     cotree_from_json,
     cotree_from_text,
     cotree_to_json,
     cotree_to_text,
+    entrywise_add,
     kappa_hat,
     kappa_hat_naive,
+    lambda_hat,
+    lambda_hat_naive,
+    star_merge,
 )
 from klcograph.cotree import postorder
 
@@ -23,6 +31,21 @@ from klcograph.cotree import postorder
 def test_fast_engines_match_the_references(t):
     assert kappa_hat(t) == kappa_hat_naive(t)
     assert build_ferrers(t).rows == build_ferrers_naive(t).rows
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(cotrees())
+def test_sequence_calculus_identities(t):
+    kappa = kappa_hat(t)
+    assert kappa.total == t.n
+    assert lambda_hat(t) == lambda_hat_naive(t)
+    assert kappa_hat(complement_cotree(t)) == lambda_hat(t)
+    if t.root.children:
+        # a 0-node is a disjoint union, a 1-node a join
+        merge = star_merge if t.root.label == 0 else entrywise_add
+        parts = [kappa_hat(Cotree(child, child.size)) for child in t.root.children]
+        assert functools.reduce(merge, parts) == kappa
 
 
 @seed(20261018)
