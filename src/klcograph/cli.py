@@ -96,7 +96,7 @@ def _need_cotree(g: Graph) -> Cotree:
 def _sequence(args: argparse.Namespace, g: Graph, oracle, engine) -> PartitionSequence:
     """The step kappa, lambda and params share: by the oracle, or off the cotree."""
     if args.oracle:
-        return oracle(g, OracleBudget(max_vertices=args.budget))
+        return oracle(g, OracleBudget(args.budget or DEFAULT_BUDGET.max_vertices))
     if not g.n:
         return PartitionSequence()
     return engine(_need_cotree(g))
@@ -187,14 +187,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _natural(text: str) -> int:
+def _natural(text: str, low: int = 0) -> int:
+    """An integer option of at least ``low``: 0 for k and l, 1 for counts."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+    if value < low:
+        kind = "a natural number" if low == 0 else f"at least {low}"
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
     return value
+
+
+_positive = functools.partial(_natural, low=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_oracle(p: argparse.ArgumentParser, oracle_help: str | None = None) -> None:
         p.add_argument("--oracle", action="store_true", help=oracle_help)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_vertices)
+        p.add_argument(
+            "--budget", type=_positive,
+            help=f"oracle vertex limit (default {DEFAULT_BUDGET.max_vertices})",
+        )
+        p.set_defaults(usage_error=p.error)  # main rejects --budget without --oracle
 
     p = sub.add_parser("recognize", help="build the cotree or report a P4")
     add_input(p)
@@ -257,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("bench", help="naive vs fast timing table (CSV)")
-    p.add_argument("--sizes", type=int, nargs="+", default=[1024, 2048, 4096])
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--sizes", type=_positive, nargs="+", default=[1024, 2048, 4096])
+    p.add_argument("--trials", type=_positive, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--adversarial", action="store_true")
     p.add_argument("--algorithm", choices=("kappa", "ferrers"), default="kappa")
@@ -277,6 +286,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if getattr(args, "budget", None) is not None and not args.oracle:
+            args.usage_error("argument --budget: only with --oracle")
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)

@@ -132,6 +132,21 @@ def postorder(root: CotreeNode) -> list[CotreeNode]:
     return order
 
 
+def _fold(t: Cotree, leaf, internal):
+    """The one bottom-up walk: ``leaf(vertex)`` at a leaf, ``internal(label,
+    values)`` at an internal node, where ``values`` lists its children's
+    results in order; returns the root's.  Results wait on a value stack, so
+    a node's children are the top ``len(children)`` entries."""
+    stack: list = []
+    for node in postorder(t.root):
+        if node.vertex is not None:
+            stack.append(leaf(node.vertex))
+        else:
+            count = len(node.children)
+            stack[-count:] = [internal(node.label, stack[-count:])]
+    return stack[0]
+
+
 # One search serves the graph and its complement.  It pops the frontier one
 # vertex at a time, which shrinks the set of vertices not yet reached as it
 # goes.  Once the frontier holds four times as many vertices as that set, each
@@ -303,37 +318,27 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
 def evaluate_cotree(t: Cotree) -> Graph:
     """Graph represented by the tree: u~v iff their lowest common ancestor is a 1-node."""
     edges: list[tuple[int, int]] = []
-    leafsets: dict[CotreeNode, list[int]] = {}
-    for node in postorder(t.root):
-        if node.is_leaf:
-            leafsets[node] = [node.vertex]
-            continue
-        parts = [leafsets.pop(c) for c in node.children]
-        if node.label == 1:
-            prefix: list[int] = []
-            for part in parts:
-                edges.extend((u, v) for u in prefix for v in part)
-                prefix.extend(part)
-            leafsets[node] = prefix
-        else:
-            merged: list[int] = []
-            for part in parts:
-                merged.extend(part)
-            leafsets[node] = merged
+
+    def internal(label: int, parts: list[list[int]]) -> list[int]:
+        merged: list[int] = []
+        for part in parts:
+            if label == 1:
+                edges.extend((u, v) for u in merged for v in part)
+            merged.extend(part)
+        return merged
+
+    _fold(t, lambda v: [v], internal)
     return Graph.from_edges(t.n, edges, t.labels)
 
 
 def complement_cotree(t: Cotree) -> Cotree:
     """Label-flipped copy: represents the complement graph."""
-    built: dict[CotreeNode, CotreeNode] = {}
-    for node in postorder(t.root):
-        if node.is_leaf:
-            built[node] = CotreeNode(vertex=node.vertex)
-        else:
-            built[node] = CotreeNode(
-                label=1 - node.label, children=[built.pop(c) for c in node.children]
-            )
-    return Cotree(built[t.root], t.n, t.labels)
+    root = _fold(
+        t,
+        lambda v: CotreeNode(vertex=v),
+        lambda label, parts: CotreeNode(label=1 - label, children=parts),
+    )
+    return Cotree(root, t.n, t.labels)
 
 
 def check_cotree(t: Cotree) -> None:
@@ -417,20 +422,18 @@ def cotree_to_json(t: Cotree) -> str:
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_JSON_SCALAR = re.compile(
-    r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?|true|false|null"
-)
-_JSON_LITERALS = {"true": True, "false": False, "null": None}
 
 
 def _json_loads(text: str) -> object:
     """``json.loads`` without recursion, for documents nested to any depth.
 
     The containers whose closing bracket is still to come are kept on an
-    explicit stack.  Raises ValueError on malformed text; NaN and Infinity,
-    which ``json.loads`` also accepts, are malformed here.
+    explicit stack; the C scanner of ``json`` reads every other value.
+    Raises ValueError on malformed text; NaN and Infinity, which
+    ``json.loads`` also accepts, are malformed here.
     """
     space = _JSON_SPACE.match
+    scan = json.JSONDecoder(parse_constant=_reject_constant).scan_once
     document: list[object] = []  # receives the one top-level value
     open_: list[dict | list] = []  # containers whose closing bracket is pending
     keys: list[str] = []  # per open object, the key of the value being read
@@ -454,18 +457,11 @@ def _json_loads(text: str) -> object:
             value = {}
         elif char == "[":
             value = []
-        elif char == '"':
-            value, pos = scanstring(text, pos + 1)
         else:
-            match = _JSON_SCALAR.match(text, pos)
-            if match is None:
-                raise ValueError(f"JSON value expected at offset {pos}")
-            word = match.group()
-            if word in _JSON_LITERALS:
-                value = _JSON_LITERALS[word]
-            else:
-                value = float(word) if match.group(1) or match.group(2) else int(word)
-            pos = match.end()
+            try:
+                value, pos = scan(text, pos)
+            except StopIteration:
+                raise ValueError(f"JSON value expected at offset {pos}") from None
         if not open_:
             document.append(value)
         elif isinstance(open_[-1], dict):

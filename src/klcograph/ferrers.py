@@ -13,8 +13,9 @@ is its bare vertex id, and folds a leaf child in O(1): one new line of size
 1, and one more vertex on the first line.  ``build_ferrers_naive``, which
 re-sorts whole representations at every tree node, is the reference: the
 two produce the same grid cell for cell, since concatenation order is the
-children's order and sorting by size is stable.  Colourings are read off
-the rows of the diagram.
+children's order and sorting by size is stable.  It and the tree-driven
+validator walk the tree by the cotree module's one bottom-up fold.
+Colourings are read off the rows of the diagram.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import chain, takewhile
 from typing import Iterator
 from xml.sax.saxutils import escape
 
-from .cotree import Cotree, CotreeNode, postorder
+from .cotree import Cotree, _fold, postorder
 from .graphs import Graph, is_clique, is_independent_set
 from .sequences import KLColouring, PartitionSequence, _check_natural, lambda_hat
 
@@ -78,23 +79,18 @@ def build_ferrers_naive(t: Cotree) -> FerrersRepresentation:
     Cubic worst case: on a deep alternating cotree every 1-node transposes
     the whole hook built so far, at rows times columns cells.
     """
-    cols: dict[CotreeNode, list[list[int]]] = {}
-    for node in postorder(t.root):
-        if node.is_leaf:
-            cols[node] = [[node.vertex]]
-            continue
-        parts = [cols.pop(c) for c in node.children]
-        if node.label == 0:
+
+    def internal(label: int, parts: list) -> list[list[int]]:
+        if label == 0:
             merged = [col for part in parts for col in part]
             merged.sort(key=len, reverse=True)  # stable: child order preserved
-            cols[node] = merged
-        else:
-            rows = [row for part in parts for row in _transpose(part)]
-            rows.sort(key=len, reverse=True)
-            cols[node] = _transpose(rows)
-    return FerrersRepresentation(
-        tuple(tuple(r) for r in _transpose(cols[t.root])), t.labels
-    )
+            return merged
+        rows = [row for part in parts for row in _transpose(part)]
+        rows.sort(key=len, reverse=True)
+        return _transpose(rows)
+
+    cols = _fold(t, lambda v: [[v]], internal)
+    return FerrersRepresentation(tuple(tuple(r) for r in _transpose(cols)), t.labels)
 
 
 # --- run-list builder ------------------------------------------------------
@@ -251,27 +247,28 @@ def validate_ferrers_against_cotree(t: Cotree, f: FerrersRepresentation) -> bool
     if tuple(len(r) for r in f.rows) != lambda_hat(t):
         return False
 
-    sets: dict[CotreeNode, tuple[set[int], set[int]]] = {}
-    for node in postorder(t.root):
-        if node.is_leaf:
-            r, c = place[node.vertex]
-            sets[node] = ({r}, {c})
-            continue
-        parts = [sets.pop(ch) for ch in node.children]
+    def leaf(v: int) -> tuple[set[int], set[int]]:
+        r, c = place[v]
+        return {r}, {c}
+
+    def internal(label: int, parts: list) -> tuple[set[int], set[int]] | None:
+        if None in parts:
+            return None  # a crossing lower down
         rows_acc, cols_acc = max(parts, key=lambda p: len(p[0]) + len(p[1]))
         for rows_part, cols_part in parts:
             if rows_part is rows_acc:
                 continue
-            if node.label == 1:
+            if label == 1:
                 if rows_acc & rows_part:
-                    return False  # a row crosses a join: not independent
+                    return None  # a row crosses a join: not independent
             else:
                 if cols_acc & cols_part:
-                    return False  # a column crosses a union: not a clique
+                    return None  # a column crosses a union: not a clique
             rows_acc |= rows_part
             cols_acc |= cols_part
-        sets[node] = (rows_acc, cols_acc)
-    return True
+        return rows_acc, cols_acc
+
+    return _fold(t, leaf, internal) is not None
 
 
 # --- read-offs -------------------------------------------------------------

@@ -7,8 +7,11 @@ clique through the lowest vertex of the mask (Lawler 1976), enumerated by
 Bron-Kerbosch seeded at that vertex.  Built on the complement's masks, the
 same engine gives the clique cover number and lambda, since a
 (k,l)-colouring of G is by definition an (l,k)-colouring of its complement.
-Results are exact; exceeding the vertex budget is an error, never an
-approximation.
+Box-cograph membership follows the recursive definition, except that a
+disconnected graph is a member iff its components are members with one
+chromatic number: by induction on their number, since a disjoint union's
+chromatic number is its parts' largest.  Results are exact; exceeding the
+vertex budget is an error, never an approximation.
 """
 
 from __future__ import annotations
@@ -178,30 +181,21 @@ def is_kl_colourable_exhaustive(g: Graph, k: int, l: int) -> bool:
         if v == g.n:
             return True
         bit = 1 << v
-        seen_empty = False
-        for i in range(k):
-            if ind_parts[i] == 0 and seen_empty:
-                continue
-            if ind_parts[i] == 0:
-                seen_empty = True
-            if ind_parts[i] & adj[v]:
-                continue
-            ind_parts[i] |= bit
-            if place(v + 1):
-                return True
-            ind_parts[i] &= ~bit
-        seen_empty = False
-        for j in range(l):
-            if cl_parts[j] == 0 and seen_empty:
-                continue
-            if cl_parts[j] == 0:
-                seen_empty = True
-            if cl_parts[j] & ~adj[v]:
-                continue
-            cl_parts[j] |= bit
-            if place(v + 1):
-                return True
-            cl_parts[j] &= ~bit
+        # a part may take v unless it holds a neighbour (independent parts)
+        # or a non-neighbour (clique parts); of the empty parts, try one
+        for parts, clash in ((ind_parts, adj[v]), (cl_parts, ~adj[v])):
+            seen_empty = False
+            for i, part in enumerate(parts):
+                if part == 0:
+                    if seen_empty:
+                        continue
+                    seen_empty = True
+                if part & clash:
+                    continue
+                parts[i] |= bit
+                if place(v + 1):
+                    return True
+                parts[i] &= ~bit
         return False
 
     return place(0)
@@ -235,7 +229,8 @@ def box_cograph_dimension(
 
     Membership follows the recursive definition: K1 is in; the class is closed
     under complement; and under disjoint unions of two members with equal
-    chromatic number.
+    chromatic number, so a disconnected graph is in iff its components are,
+    all with one chromatic number.
     """
     if g.n == 0:
         return None
@@ -254,23 +249,8 @@ def box_cograph_dimension(
         eng = engs[side]
         comps = _components_mask(eng.adj, mask)
         if len(comps) > 1:
-            result = False
-            # binary splits of the component set into two nonempty groups
-            for split in range(0, 1 << (len(comps) - 1)):
-                a = comps[0]
-                b = 0
-                for i in range(1, len(comps)):
-                    if (split >> (i - 1)) & 1:
-                        a |= comps[i]
-                    else:
-                        b |= comps[i]
-                if b == 0:
-                    continue
-                if eng.kappa(a, 0) != eng.kappa(b, 0):
-                    continue
-                if member(side, a) and member(side, b):
-                    result = True
-                    break
+            chi = eng.kappa(comps[0], 0)
+            result = all(eng.kappa(c, 0) == chi and member(side, c) for c in comps)
         elif len(_components_mask(eng.co, mask)) > 1:
             result = member(1 - side, mask)
         else:

@@ -8,8 +8,8 @@ finished subtrees on a value stack, and folds a leaf child into its
 sibling's run list in O(1), since a leaf's sequence is [1].  ``lambda_hat``
 is the conjugate of kappa.  The plain-array traversals ``kappa_hat_naive``
 and ``lambda_hat_naive`` are the references that the tests and benchmarks
-compare against; the latter swaps the two operators, so it checks the
-conjugacy on the cotree side.
+compare against, walked by the cotree module's one bottom-up fold; the
+latter swaps the two operators, so it checks the conjugacy on the cotree side.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
-from .cotree import Cotree, CotreeNode, postorder
+from .cotree import Cotree, _fold, postorder
 from .graphs import Graph, VertexSet, is_clique, is_independent_set
 
 
@@ -149,36 +149,31 @@ def cochromatic_number(s: PartitionSequence) -> int:
 
 def kappa_hat_naive(t: Cotree) -> PartitionSequence:
     """Plain-array traversal: concatenate-and-sort at 0-nodes, add at 1-nodes."""
-    return PartitionSequence(_naive_values(t.root, star_label=0))
+    return PartitionSequence(_naive_values(t, star_label=0))
 
 
 def lambda_hat_naive(t: Cotree) -> PartitionSequence:
     """Same traversal with the two operators swapped; conjugate to kappa."""
-    return PartitionSequence(_naive_values(t.root, star_label=1))
+    return PartitionSequence(_naive_values(t, star_label=1))
 
 
-def _naive_values(root: CotreeNode, star_label: int) -> list[int]:
-    vals: dict[CotreeNode, list[int]] = {}
-    for node in postorder(root):
-        if node.is_leaf:
-            vals[node] = [1]
-            continue
-        parts = [vals.pop(c) for c in node.children]
-        if node.label == star_label:
+def _naive_values(t: Cotree, star_label: int) -> list[int]:
+    def internal(label: int, parts: list[list[int]]) -> list[int]:
+        if label == star_label:
             merged: list[int] = []
             for part in parts:
                 merged += part
             merged.sort(reverse=True)
-            vals[node] = merged
-        else:
-            acc = parts[0]
-            for part in parts[1:]:
-                if len(part) > len(acc):
-                    acc, part = part, acc
-                for i, e in enumerate(part):
-                    acc[i] += e
-            vals[node] = acc
-    return vals[root]
+            return merged
+        acc = parts[0]
+        for part in parts[1:]:
+            if len(part) > len(acc):
+                acc, part = part, acc
+            for i, e in enumerate(part):
+                acc[i] += e
+        return acc
+
+    return _fold(t, lambda v: [1], internal)
 
 
 # Run-length lists are [value, count] pairs with strictly decreasing values.

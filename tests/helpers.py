@@ -243,20 +243,21 @@ def decode_graph6_reference(text: str) -> Graph:
 
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
-    """All graphs on exactly n vertices, one per isomorphism class."""
+    """All graphs on exactly n vertices, one per isomorphism class: the first
+    of each class in the order of the edge subsets.  A new class marks its
+    whole orbit as seen, so each class costs n! relabellings, not each graph."""
     pairs = list(itertools.combinations(range(n), 2))
     perms = list(itertools.permutations(range(n)))
     seen: set[tuple] = set()
     out = []
     for picks in itertools.product((0, 1), repeat=len(pairs)):
-        edges = [e for e, take in zip(pairs, picks) if take]
-        canon = min(
+        edges = tuple(e for e, take in zip(pairs, picks) if take)  # sorted
+        if edges in seen:
+            continue
+        seen.update(
             tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
             for p in perms
         )
-        if canon in seen:
-            continue
-        seen.add(canon)
         out.append(Graph.from_edges(n, edges))
     return out
 

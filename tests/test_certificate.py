@@ -136,7 +136,7 @@ def test_constant_kappa_marks_box_cographs_at_small_n():
 
     from helpers import nonisomorphic_graphs
 
-    for n in range(1, 6):
+    for n in range(1, 7):
         for g in nonisomorphic_graphs(n):
             t = build_cotree(g)
             dim = box_cograph_dimension(g)

@@ -154,11 +154,25 @@ def test_lambda_oracle_on_non_cographs(capsys, tmp_path):
         assert (code, out, err) == (0, expected + "\n", "")
 
 
-def test_oracle_budget_flag_exits_two(capsys, tmp_path):
+def test_oracle_budget_flag_exits_two(capsys, tmp_path, k3_file, p4_file):
     path = _write_edges(tmp_path, "c4.txt", cycle_graph(4))
     code, out, err = run(capsys, "kappa", path, "--oracle", "--budget", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    # a budget below 1, or one without --oracle, is a usage error while
+    # parsing, before any answer reaches stdout
+    for command in ("kappa", "lambda", "params"):
+        for source, extra, message in (
+            (p4_file, ("--budget", "0"), "argument --budget: must be at least 1, got 0"),
+            (k3_file, ("--budget", "-7"), "argument --budget: must be at least 1, got -7"),
+            (k3_file, ("--oracle", "--budget", "0"), "must be at least 1, got 0"),
+            (k3_file, ("--budget", "5"), "argument --budget: only with --oracle"),
+        ):
+            code, out, err = run(capsys, command, source, *extra)
+            assert (code, out) == (2, ""), (command, extra)
+            assert message in err, (command, extra)
+    for argv in (("--budget", "5", "--oracle"), ("--oracle", "--budget", "5")):
+        assert run(capsys, "kappa", p4_file, *argv) == (0, "2,1\n", "")
 
 
 def test_check_colourable(capsys, k3_file):
@@ -328,6 +342,19 @@ def test_bench_csv_shape(capsys):
             n, naive_ms, fast_ms = line.split(",")
             assert int(n) in (64, 128)
             assert float(naive_ms) >= 0 and float(fast_ms) >= 0
+
+
+def test_bench_counts_must_be_positive(capsys):
+    # the CSV header is printed only once the arguments are known to be good
+    for extra, message in (
+        (("--sizes", "0"), "argument --sizes: must be at least 1, got 0"),
+        (("--sizes", "64", "-3"), "argument --sizes: must be at least 1, got -3"),
+        (("--trials", "0"), "argument --trials: must be at least 1, got 0"),
+        (("--sizes", "4", "--trials", "-1"), "argument --trials: must be at least 1"),
+    ):
+        code, out, err = run(capsys, "bench", *extra)
+        assert (code, out) == (2, ""), extra
+        assert message in err, extra
 
 
 FRESH_MAIN = "import sys; from klcograph.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -10,6 +10,7 @@ from klcograph import (
     NotACographError,
     P4Witness,
     build_cotree,
+    build_ferrers,
     check_cotree,
     complement_cotree,
     cotree_from_json,
@@ -21,7 +22,12 @@ from klcograph import (
     evaluate_cotree,
     find_p4,
     induced_subgraph,
+    kappa_hat,
+    kappa_hat_naive,
+    lambda_hat,
+    lambda_hat_naive,
     random_cotree,
+    validate_ferrers_against_cotree,
 )
 from klcograph.cotree import _components, postorder
 
@@ -336,9 +342,15 @@ def test_json_reader_matches_json_loads():
         "[[[[7]]]]",
         "{}",
         "12",
+        "[1e5, 2E-3, -4.5e+2, 0e0, -0, -0.0, 1.5E10]",
+        r'["\\", "\/", "\b\f\n\r\t", "\ud83d\ude00", "\u0000"]',
+        '{"": [[], {}, [{}], {"x": []}]}',
+        "[[], [[]], {}, [{}]]",
     ):
         assert _json_loads(text) == json.loads(text)
-    for bad in ("", "[1,]", "[1 2]", '{"a" 1}', "{1: 2}", "[01]", "[1]]", "nul", "[NaN]"):
+        assert repr(_json_loads(text)) == repr(json.loads(text))
+    for bad in ("", "[1,]", "[1 2]", '{"a" 1}', "{1: 2}", "[01]", "[1]]", "nul", "[NaN]",
+                "Infinity", "[-Infinity]", '{"a": Infinity}', "[-]", "[1.]", r'"\x"'):
         with pytest.raises(ValueError):
             _json_loads(bad)
 
@@ -351,6 +363,17 @@ def test_deep_tree_does_not_hit_recursion_limit():
     assert cotree_to_json(t).count('"vertex"') == 5000
     encoded = cotree_to_json(t)
     assert cotree_to_json(cotree_from_json(encoded)) == encoded
+
+
+def test_folded_walks_at_depth():
+    # the reference walks share one bottom-up fold with an explicit stack
+    for top in (0, 1):
+        t = deep_alternating_cotree(5000, top)
+        text = cotree_to_text(t)
+        assert cotree_to_text(complement_cotree(complement_cotree(t))) == text
+        assert kappa_hat_naive(t) == kappa_hat(t)
+        assert lambda_hat_naive(t) == lambda_hat(t)
+        assert validate_ferrers_against_cotree(t, build_ferrers(t))
 
 
 def test_check_cotree_rejects_repeated_labels_in_cotree():

@@ -44,6 +44,26 @@ def test_no_assert_statement_in_sources():
 # main prints it; bench streams its CSV row by row.
 PRINTERS = {("cli.py", "main"), ("cli.py", "cmd_bench")}
 
+# The functions outside cotree.py that may walk a cotree with postorder: the
+# two engines keep their loops inline, and every other bottom-up walk goes
+# through cotree._fold.
+WALKERS = {("sequences.py", "kappa_hat"), ("ferrers.py", "build_ferrers")}
+
+
+def _calls(callee, allowed):
+    """file:line of each call of a function named ``callee``, plain or as an
+    attribute, outside the top-level definitions that ``allowed`` names as
+    (file name, definition name)."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, tree in _sources()
+        for top in tree.body
+        if (name, getattr(top, "name", None)) not in allowed
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
 
 def _exits(node):
     """Whether ``node`` raises SystemExit itself or through ``sys.exit``."""
@@ -62,19 +82,16 @@ def _exits(node):
 def test_one_answer_path_through_the_cli():
     # every answer leaves through cli.main, which maps the one negative
     # exception to exit 1; a print or an exit elsewhere would bypass it
-    prints, exits = [], []
+    prints, exits = _calls("print", PRINTERS), []
     for name, tree in _sources():
-        for top in tree.body:
-            if (name, getattr(top, "name", None)) not in PRINTERS:
-                prints += [
-                    f"{name}:{node.lineno}"
-                    for node in ast.walk(top)
-                    if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "print"
-                ]
         for fn in ast.walk(tree):
             if isinstance(fn, FUNCTIONS):
                 exits += [f"{name}:{node.lineno}" for node in ast.walk(fn) if _exits(node)]
     assert not prints, "print outside cli.main and cli.cmd_bench: " + ", ".join(prints)
     assert not exits, "SystemExit raised in a function: " + ", ".join(exits)
+
+
+def test_one_bottom_up_walk_outside_the_engines():
+    # a node-keyed dict or a second walk would creep back in with a new loop
+    found = [f for f in _calls("postorder", WALKERS) if not f.startswith("cotree.py:")]
+    assert not found, "postorder outside kappa_hat and build_ferrers: " + ", ".join(found)

@@ -154,6 +154,22 @@ def test_box_cograph_non_members():
     assert box_cograph_dimension(disjoint_union(complete_graph(2), complete_graph(1))) is None
 
 
+def test_box_cograph_unions_of_three_or_more_components():
+    # a union is a member iff every component is one, all with one chi
+    for k in range(1, 13):
+        for l in range(1, 12 // k + 1):
+            assert box_cograph_dimension(l_copies_of_k_clique(l, k)) == (k, l)
+    c4 = cycle_graph(4)
+    members = disjoint_union(disjoint_union(c4, complete_graph(2)), c4)
+    assert box_cograph_dimension(members) == (2, 5)
+    for g in (
+        disjoint_union(l_copies_of_k_clique(5, 2), complete_graph(1)),  # chi 2, 2, ..., 1
+        disjoint_union(l_copies_of_k_clique(2, 2), path_graph(3)),  # P3 is no member
+    ):
+        assert box_cograph_dimension(g) is None
+        assert box_cograph_dimension(complement(g)) is None
+
+
 def test_box_cograph_closed_under_complement():
     rng = random.Random(24)
     for _ in range(40):
