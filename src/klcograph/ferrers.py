@@ -8,13 +8,13 @@ sequence, row lengths the lambda sequence.
 run-length lists of lines.  Columns follow the kappa operators and rows the
 lambda operators, each merged into the child with the most leaves, for
 O(n log n) total work; a vertex's cell is (its row's index, its column's
-index).  The pass keeps the finished subtrees on a value stack, where a leaf
-is its bare vertex id, and folds a leaf child in O(1): one new line of size
-1, and one more vertex on the first line.  ``build_ferrers_naive``, which
-re-sorts whole representations at every tree node, is the reference: the
-two produce the same grid cell for cell, since concatenation order is the
-children's order and sorting by size is stable.  It and the tree-driven
-validator walk the tree by the cotree module's one bottom-up fold.
+index).  A subtree is the tuple (cols, rows) and a leaf its bare vertex id,
+so a leaf child is folded in O(1): one new line of size 1, and one more
+vertex on the first line.  ``build_ferrers_naive``, which re-sorts whole
+representations at every tree node, is the reference: the two produce the
+same grid cell for cell, since concatenation order is the children's order
+and sorting by size is stable.  Both builders and the tree-driven validator
+are per-node rules that the cotree module's one bottom-up fold walks.
 Colourings are read off the rows of the diagram.
 """
 
@@ -27,7 +27,7 @@ from itertools import chain, takewhile
 from typing import Iterator
 from xml.sax.saxutils import escape
 
-from .cotree import Cotree, _fold, postorder
+from .cotree import Cotree, _fold
 from .graphs import Graph, is_clique, is_independent_set
 from .sequences import KLColouring, PartitionSequence, _check_natural, lambda_hat
 
@@ -80,7 +80,7 @@ def build_ferrers_naive(t: Cotree) -> FerrersRepresentation:
     the whole hook built so far, at rows times columns cells.
     """
 
-    def internal(label: int, parts: list) -> list[list[int]]:
+    def internal(label: int, parts: list, _big: int) -> list[list[int]]:
         if label == 0:
             merged = [col for part in parts for col in part]
             merged.sort(key=len, reverse=True)  # stable: child order preserved
@@ -153,26 +153,16 @@ def _leaf_runs(part) -> tuple[list, list]:
 
 
 def build_ferrers(t: Cotree) -> FerrersRepresentation:
-    """One post-order pass; each node merges its children into the largest one.
+    """Folded over the cotree; each node merges its children into the largest.
 
     0-nodes star-merge the column runs and add the row runs, 1-nodes the
     reverse.  Children before the largest go ahead of it among equal-size
     lines, nearest first; children after it go behind, in order.
     """
-    # (cols, rows) of the finished subtrees whose parent is still to come, in
-    # postorder, so a node's children are the top len(children) entries.  A
-    # leaf is its bare vertex id.
-    stack: list = []
-    for node in postorder(t.root):
-        if node.vertex is not None:
-            stack.append(node.vertex)
-            continue
-        sizes = [c.size for c in node.children]
-        big = sizes.index(max(sizes))
-        parts = stack[-len(sizes) :]
-        del stack[-len(sizes) :]
+
+    def internal(label: int, parts: list, big: int) -> tuple[list, list]:
         cols, rows = _leaf_runs(parts[big])
-        stars, adds = (cols, rows) if node.label == 0 else (rows, cols)
+        stars, adds = (cols, rows) if label == 0 else (rows, cols)
         for i in chain(range(big - 1, -1, -1), range(big + 1, len(parts))):
             part = parts[i]
             small_first = i < big
@@ -193,11 +183,12 @@ def build_ferrers(t: Cotree) -> FerrersRepresentation:
                 first[0] += 1
                 first[1][0].append(part)
             else:
-                c_stars, c_adds = part if node.label == 0 else part[::-1]
+                c_stars, c_adds = part if label == 0 else part[::-1]
                 _star_lines(stars, c_stars, small_first)
                 _add_lines(adds, c_adds)
-        stack.append((cols, rows))
-    cols, rows = _leaf_runs(stack[0])
+        return cols, rows
+
+    cols, rows = _leaf_runs(_fold(t, lambda v: v, internal))
     col_of = [0] * t.n
     for j, line in enumerate(_lines(cols)):
         for v in line:
@@ -251,13 +242,11 @@ def validate_ferrers_against_cotree(t: Cotree, f: FerrersRepresentation) -> bool
         r, c = place[v]
         return {r}, {c}
 
-    def internal(label: int, parts: list) -> tuple[set[int], set[int]] | None:
+    def internal(label: int, parts: list, big: int) -> tuple[set[int], set[int]] | None:
         if None in parts:
             return None  # a crossing lower down
-        rows_acc, cols_acc = max(parts, key=lambda p: len(p[0]) + len(p[1]))
+        rows_acc, cols_acc = parts.pop(big)
         for rows_part, cols_part in parts:
-            if rows_part is rows_acc:
-                continue
             if label == 1:
                 if rows_acc & rows_part:
                     return None  # a row crosses a join: not independent

@@ -25,6 +25,7 @@ def random_cotree(
         if budget == 1:
             leaves -= 1
             node.vertex = leaves
+            node.children = ()  # the one empty tuple that every leaf shares
             continue
         node.label = rng.randrange(2) if label is None else label
         t = rng.randint(2, min(max_children, budget))

@@ -1,15 +1,15 @@
 """Non-increasing integer sequences and the bottom-up colouring calculus.
 
 ``kappa_hat`` computes the minimum-independent-parts sequence of a cograph
-in one post-order pass over the cotree, on run-length lists, merging every
-child's sequence into the sequence of the child with the most leaves
-(small-to-large), for O(n log n) total work.  The pass keeps the results of
-finished subtrees on a value stack, and folds a leaf child into its
-sibling's run list in O(1), since a leaf's sequence is [1].  ``lambda_hat``
-is the conjugate of kappa.  The plain-array traversals ``kappa_hat_naive``
-and ``lambda_hat_naive`` are the references that the tests and benchmarks
-compare against, walked by the cotree module's one bottom-up fold; the
-latter swaps the two operators, so it checks the conjugacy on the cotree side.
+on run-length lists, merging every child's sequence into the sequence of
+the node's ``big`` child, the one with the most leaves (small-to-large), for
+O(n log n) total work.  It folds a leaf child into its sibling's run list
+in O(1), since a leaf's sequence is [1].  ``lambda_hat`` is the conjugate of
+kappa.  The plain-array traversals ``kappa_hat_naive`` and
+``lambda_hat_naive`` are the references that the tests and benchmarks
+compare against; the latter swaps the two operators, so it checks the
+conjugacy on the cotree side.  Every one of them is a per-node rule walked
+by the cotree module's one bottom-up fold.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
-from .cotree import Cotree, _fold, postorder
+from .cotree import Cotree, _fold
 from .graphs import Graph, VertexSet, is_clique, is_independent_set
 
 
@@ -158,7 +158,7 @@ def lambda_hat_naive(t: Cotree) -> PartitionSequence:
 
 
 def _naive_values(t: Cotree, star_label: int) -> list[int]:
-    def internal(label: int, parts: list[list[int]]) -> list[int]:
+    def internal(label: int, parts: list[list[int]], _big: int) -> list[int]:
         if label == star_label:
             merged: list[int] = []
             for part in parts:
@@ -218,30 +218,20 @@ def kappa_hat(t: Cotree) -> PartitionSequence:
     """Kappa sequence of the represented cograph; first entry is its chromatic
     number, length its clique cover number.
 
-    One post-order pass over run lists; each node merges its children into
-    the child with the most leaves.  A leaf's sequence is [1], so a leaf
-    child is folded in O(1): it joins the run of 1s at a 0-node and adds 1
-    to the first entry at a 1-node.
+    Folded over the cotree on run lists; each node merges its children into
+    the child with the most leaves.  A leaf's sequence is [1], so a leaf is
+    None and a leaf child is folded in O(1): it joins the run of 1s at a
+    0-node and adds 1 to the first entry at a 1-node.
     """
-    # Run lists of the finished subtrees whose parent is still to come, in
-    # postorder, so a node's children are the top len(children) entries.  A
-    # leaf is None.
-    stack: list[list[list[int]] | None] = []
-    for node in postorder(t.root):
-        if node.vertex is not None:
-            stack.append(None)
-            continue
-        sizes = [c.size for c in node.children]
-        big = sizes.index(max(sizes))
-        parts = stack[-len(sizes) :]
-        del stack[-len(sizes) :]
+
+    def internal(label: int, parts: list, big: int) -> list[list[int]]:
         acc = parts.pop(big) or [[1, 1]]
-        merge = _rle_star_into if node.label == 0 else _rle_add_into
+        merge = _rle_star_into if label == 0 else _rle_add_into
         for part in parts:
             if part is not None:
                 merge(acc, part)
         leaves = parts.count(None)
-        if node.label == 0:
+        if label == 0:
             if acc[-1][0] == 1:
                 acc[-1][1] += leaves
             elif leaves:
@@ -253,8 +243,9 @@ def kappa_hat(t: Cotree) -> PartitionSequence:
                 acc.insert(0, [first[0] + leaves, 1])
             else:
                 first[0] += leaves
-        stack.append(acc)
-    return PartitionSequence.from_runs(stack[0] or [[1, 1]])
+        return acc
+
+    return PartitionSequence.from_runs(_fold(t, lambda v: None, internal) or [[1, 1]])
 
 
 def lambda_hat(t: Cotree) -> PartitionSequence:

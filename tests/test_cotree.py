@@ -303,8 +303,14 @@ def test_text_and_json_round_trips():
     for _ in range(30):
         t = random_cotree(rng.randint(1, 20), rng)
         canon = build_cotree(evaluate_cotree(t))
-        assert cotree_to_text(cotree_from_text(cotree_to_text(canon))) == cotree_to_text(canon)
-        assert cotree_to_text(cotree_from_json(cotree_to_json(canon))) == cotree_to_text(canon)
+        from_text = cotree_from_text(cotree_to_text(canon))
+        from_json = cotree_from_json(cotree_to_json(canon))
+        assert cotree_to_text(from_text) == cotree_to_text(canon)
+        assert cotree_to_text(from_json) == cotree_to_text(canon)
+        # every producer gives its leaves the one empty tuple, not a list each
+        deep = deep_alternating_cotree(t.n)
+        for tree in (t, deep, canon, from_text, from_json, complement_cotree(t)):
+            assert all(x.children == () for x in postorder(tree.root) if x.is_leaf)
     # named vertices: the text form carries ids, so it reads back the same graph
     for g in (
         Graph.from_edges(3, [(0, 1)], ["2", "0", "1"]),
@@ -313,6 +319,12 @@ def test_text_and_json_round_trips():
         t = build_cotree(g)
         back = evaluate_cotree(cotree_from_text(cotree_to_text(t)))
         assert sorted(back.edges()) == sorted(g.edges())
+    # names that JSON must escape: the writer quotes them as json.dumps does
+    names = ['say "hi"', "C:\\tmp", "two\nlines \u00e9\u4e2d"]
+    t = build_cotree(Graph.from_edges(3, [(0, 1)], names))
+    leaf = [{"vertex": v, "name": names[v]} for v in range(3)]
+    expected = {"label": 0, "children": [leaf[2], {"label": 1, "children": leaf[:2]}]}
+    assert cotree_to_json(t) == json.dumps(expected)
     for bad in (
         '{"label": 1}',
         "[1, 2]",
@@ -397,6 +409,11 @@ def _leaf_count(node):
     return sum(1 for x in postorder(node) if x.is_leaf)
 
 
+def _first_largest(node):
+    sizes = [_leaf_count(c) for c in node.children]
+    return sizes.index(max(sizes)) if sizes else 0
+
+
 def test_constructor_sets_sizes_of_hand_built_trees_and_checks_n():
     # a caterpillar whose spine is the second child, as no producer builds it
     spine = CotreeNode(vertex=0)
@@ -407,7 +424,15 @@ def test_constructor_sets_sizes_of_hand_built_trees_and_checks_n():
     t = Cotree(wide, 9)
     for node in postorder(t.root):
         assert node.size == _leaf_count(node)
+        assert node.big == _first_largest(node)
     assert t.root.size == 9
+    assert [x.big for x in postorder(t.root) if not x.is_leaf] == [0, 1, 1, 1, 1, 0, 2]
+    # ties go to the first largest child: sizes 2, 3, 3 give 1, and 1, 1 give 0
+    pair = CotreeNode(label=1, children=[CotreeNode(vertex=0), CotreeNode(vertex=1)])
+    three = [CotreeNode(label=1, children=[CotreeNode(vertex=v) for v in vs])
+             for vs in ((2, 3, 4), (5, 6, 7))]
+    tied = Cotree(CotreeNode(label=0, children=[pair, *three]), 8)
+    assert (tied.root.big, pair.big) == (1, 0)
     check_cotree(t)
     for n in (0, 8, 10):
         with pytest.raises(ValueError):
@@ -426,7 +451,8 @@ def test_random_cotree_output_is_pinned():
     ):
         t = random_cotree(n, seed, max_children)
         assert cotree_to_text(t) == text
-        assert all(node.size == _leaf_count(node) for node in postorder(t.root))
+        for node in postorder(t.root):
+            assert (node.size, node.big) == (_leaf_count(node), _first_largest(node))
 
 
 def test_build_cotree_is_linear_on_edgeless_graphs():

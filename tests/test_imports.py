@@ -44,12 +44,6 @@ def test_no_assert_statement_in_sources():
 # main prints it; bench streams its CSV row by row.
 PRINTERS = {("cli.py", "main"), ("cli.py", "cmd_bench")}
 
-# The functions outside cotree.py that may walk a cotree with postorder: the
-# two engines keep their loops inline, and every other bottom-up walk goes
-# through cotree._fold.
-WALKERS = {("sequences.py", "kappa_hat"), ("ferrers.py", "build_ferrers")}
-
-
 def _calls(callee, allowed):
     """file:line of each call of a function named ``callee``, plain or as an
     attribute, outside the top-level definitions that ``allowed`` names as
@@ -91,7 +85,25 @@ def test_one_answer_path_through_the_cli():
     assert not exits, "SystemExit raised in a function: " + ", ".join(exits)
 
 
-def test_one_bottom_up_walk_outside_the_engines():
-    # a node-keyed dict or a second walk would creep back in with a new loop
-    found = [f for f in _calls("postorder", WALKERS) if not f.startswith("cotree.py:")]
-    assert not found, "postorder outside kappa_hat and build_ferrers: " + ", ".join(found)
+def test_one_bottom_up_walk():
+    # every bottom-up walk goes through cotree._fold; a node-keyed dict or a
+    # second walk would creep back in with a new loop
+    found = [f for f in _calls("postorder", set()) if not f.startswith("cotree.py:")]
+    assert not found, "postorder outside cotree.py: " + ", ".join(found)
+
+
+# The node attributes that only cotree.py reads and generate.py builds, so
+# that the node layout can change behind the constructor and _fold.
+LAYOUT = {"children", "size", "big"}
+LAYOUT_MODULES = {"cotree.py", "generate.py"}
+
+
+def test_node_layout_stays_in_the_cotree_module():
+    found = [
+        f"{name}:{node.lineno} .{node.attr}"
+        for name, tree in _sources()
+        if name not in LAYOUT_MODULES
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT
+    ]
+    assert not found, "node layout read outside cotree.py: " + ", ".join(found)

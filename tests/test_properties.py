@@ -80,12 +80,12 @@ def mutated_cotree_texts(draw):
 
 
 def _outcome(reader, text):
-    """The tree read, node by node with its size, or the ValueError's message."""
+    """The tree read, node by node with size and big, or the ValueError's message."""
     try:
         t = reader(text)
     except ValueError as exc:
         return str(exc)
-    return t.n, [(x.label, x.vertex, x.size, len(x.children)) for x in postorder(t.root)]
+    return t.n, [(x.label, x.vertex, x.size, x.big, len(x.children)) for x in postorder(t.root)]
 
 
 @seed(20261018)
