@@ -60,8 +60,8 @@ class CotreeNode:
     """Node of a cotree.  Leaves carry a vertex id, internal nodes a 0/1 label.
 
     A ``Cotree`` over the node sets ``size``, its leaf count, and ``big``, the
-    index of its first child with the most leaves.  Leaves share one empty
-    tuple of ``children`` unless given a list.
+    index of its first child with the most leaves, as it checks the tree.
+    Leaves share one empty tuple of ``children`` unless given a list.
     """
 
     __slots__ = ("label", "vertex", "children", "size", "big")
@@ -75,8 +75,7 @@ class CotreeNode:
         self.label = label
         self.vertex = vertex
         self.children = ([] if vertex is None else ()) if children is None else children
-        self.size = 0
-        self.big = 0
+        self.size = self.big = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -90,10 +89,13 @@ class CotreeNode:
 
 @dataclass(frozen=True)
 class Cotree:
-    """Rooted labelled decomposition tree; children of a node alternate labels.
+    """Rooted labelled decomposition tree, canonical when children alternate labels.
 
-    The constructor sets every node's ``size`` and ``big``, in one postorder
-    pass, and raises ValueError unless the root has n leaves.
+    The constructor raises ValueError unless the leaves are the ints 0..n-1
+    once each, each internal node has the int label 0 or 1 and two or more
+    children, and ``labels``, if given, has n names.  It allows a child that
+    repeats its parent's label, as merging one-child nodes leaves it: the
+    graph is the same.  The readers and ``check_cotree`` reject that.
     """
 
     root: CotreeNode
@@ -101,21 +103,18 @@ class Cotree:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        for node in postorder(self.root):
-            _set_size(node)
-        if self.root.size != self.n:
-            raise ValueError(f"cotree has {self.root.size} leaves, not n = {self.n}")
+        if self.labels is not None and len(self.labels) != self.n:
+            raise ValueError(f"{len(self.labels)} labels for n = {self.n} vertices")
+        _check_nodes(postorder(self.root), self.n)
 
     @classmethod
     def _checked(cls, order: list[CotreeNode], n: int) -> "Cotree":
         """The cotree whose nodes ``order`` lists in postorder, n of them
-        leaves, after one walk that sets the sizes and makes ``check_cotree``'s
-        checks; for the readers, which count the leaves as they parse."""
-        _check_nodes(order, n)
+        leaves, checked as ``check_cotree`` checks; for the readers."""
+        if _check_nodes(order, n):
+            raise ValueError("child repeats parent label in a cotree")
         t = object.__new__(cls)
-        object.__setattr__(t, "root", order[-1])
-        object.__setattr__(t, "n", n)
-        object.__setattr__(t, "labels", None)
+        vars(t).update(root=order[-1], n=n, labels=None)
         return t
 
     def label_of(self, v: int) -> str:
@@ -136,19 +135,6 @@ def postorder(root: CotreeNode) -> list[CotreeNode]:
         stack.extend(node.children)
     order.reverse()
     return order
-
-
-def _set_size(node: CotreeNode) -> None:
-    """Set ``size`` and ``big`` from the children's sizes, or 1 at a leaf; a
-    plain loop takes half as long as sum, max and index over a list."""
-    size = most = big = 0
-    for i, child in enumerate(node.children):
-        s = child.size
-        size += s
-        if s > most:
-            most, big = s, i
-    node.size = size if node.vertex is None else 1
-    node.big = big
 
 
 def _fold(t: Cotree, leaf, internal):
@@ -361,34 +347,48 @@ def complement_cotree(t: Cotree) -> Cotree:
 
 
 def check_cotree(t: Cotree) -> None:
-    """Validate structural invariants; raises ValueError on violation."""
-    _check_nodes(postorder(t.root), t.n)
+    """Raise ValueError unless t is well formed and its labels alternate."""
+    Cotree._checked(postorder(t.root), t.n)
 
 
-def _check_nodes(order: list[CotreeNode], n: int) -> None:
-    """``check_cotree`` over nodes listed in postorder; it also sets each
-    node's ``size`` and ``big``, which the checks leave valid once they pass."""
-    seen: set[int] = set()
+def _check_nodes(order: list[CotreeNode], n: int) -> bool:
+    """The constructor's one walk over a tree's nodes in postorder: it raises
+    ValueError unless the tree is well formed, sets each node's ``size`` and
+    ``big``, and returns whether a child repeats its parent's label."""
+    if n > len(order):
+        raise ValueError(f"cotree of {len(order)} nodes cannot have n = {n} leaves")
+    seen = bytearray(n)
+    repeats = False
     for node in order:
         v = node.vertex
         if v is not None:
-            if not 0 <= v < n or v in seen:
+            # type(...) is int: True and 1.0 equal 1, but are no id or label
+            if type(v) is not int or not 0 <= v < n or seen[v]:
                 raise ValueError(f"bad leaf vertex {v}")
-            seen.add(v)
+            seen[v] = 1
             node.size = 1
             continue
         label = node.label
-        # type(...) is int: True == 1, but a bool is no label
         if type(label) is not int or label not in (0, 1):
             raise ValueError("internal node without 0/1 label")
-        if len(node.children) < 2:
+        kids = node.children
+        if len(kids) < 2:
             raise ValueError("internal node with fewer than 2 children")
-        for c in node.children:
-            if c.vertex is None and c.label == label:
-                raise ValueError("child repeats parent label in a cotree")
-        _set_size(node)
-    if len(seen) != n:
+        # a counted loop: sum, max and index take twice as long, enumerate 15% more
+        size = most = big = i = 0
+        for c in kids:
+            s = c.size
+            size += s
+            if s > most:
+                most, big = s, i
+            if c.label == label and c.vertex is None:
+                repeats = True
+            i += 1
+        node.size, node.big = size, big
+    # a leaf given children leaves their leaves out of the root's count
+    if order[-1].size != n:
         raise ValueError("leaves do not cover all vertices")
+    return repeats
 
 
 # --- serialization ---------------------------------------------------------

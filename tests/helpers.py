@@ -21,6 +21,7 @@ from klcograph import (
     join,
     random_cotree,
 )
+from klcograph.cotree import postorder
 
 
 def complete_graph(n: int) -> Graph:
@@ -158,6 +159,27 @@ def cotree_from_text_reference(text: str) -> Cotree:
     t = Cotree(root_box[0], leaves)
     check_cotree(t)
     return t
+
+
+def subcotree(root: CotreeNode, vertices) -> Cotree:
+    """A copy of the cotree under ``root`` for the subgraph that ``vertices``
+    induce, leaves renumbered by rank.  A node left with one child is merged
+    into it, as a benchmark check does, so a child may repeat its parent's
+    label; kappa does not depend on vertex names."""
+    keep = set(vertices)
+    order = postorder(root)
+    rank = {v: i for i, v in enumerate(sorted(x.vertex for x in order if x.vertex in keep))}
+    built: dict[int, CotreeNode | None] = {}
+    for x in order:
+        if x.is_leaf:
+            built[id(x)] = CotreeNode(vertex=rank[x.vertex]) if x.vertex in rank else None
+            continue
+        kids = [b for c in x.children if (b := built[id(c)]) is not None]
+        if len(kids) > 1:
+            built[id(x)] = CotreeNode(label=x.label, children=kids)
+        else:
+            built[id(x)] = kids[0] if kids else None
+    return Cotree(built[id(root)], len(rank))
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -236,6 +236,9 @@ def test_negative_parameters_exit_two_naming_the_flag(capsys, k3_file):
             assert code == 2
             assert out == ""
             assert f"argument {flag}: must be a natural number" in err
+        code, out, err = run(capsys, command, k3_file, "-k", "x", "-l", "0")
+        assert (code, out) == (2, "")
+        assert "argument -k: invalid integer: 'x'" in err
 
 
 def test_ferrers_outputs(capsys, k3_file):
@@ -342,6 +345,15 @@ def test_bench_csv_shape(capsys):
             n, naive_ms, fast_ms = line.split(",")
             assert int(n) in (64, 128)
             assert float(naive_ms) >= 0 and float(fast_ms) >= 0
+
+
+def test_bench_reports_a_variant_mismatch(capsys, monkeypatch):
+    # the fast engine is checked against the naive one on every tree
+    monkeypatch.setattr(cli, "kappa_hat", lambda t: kappa_hat_naive(t) + (1,))
+    code, out, err = run(capsys, "bench", "--sizes", "16", "--trials", "1")
+    assert code == 1
+    assert out == "n,naive_ms,fast_ms\n"
+    assert err == "variant mismatch\n"
 
 
 def test_bench_counts_must_be_positive(capsys):

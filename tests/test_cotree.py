@@ -41,6 +41,7 @@ from helpers import (
     has_induced_p4_through,
     path_graph,
     random_graph,
+    subcotree,
 )
 
 
@@ -388,11 +389,48 @@ def test_folded_walks_at_depth():
         assert validate_ferrers_against_cotree(t, build_ferrers(t))
 
 
+def _repeats_a_label(t):
+    return any(
+        c.label == x.label
+        for x in postorder(t.root)
+        if not x.is_leaf
+        for c in x.children
+        if not c.is_leaf
+    )
+
+
 def test_check_cotree_rejects_repeated_labels_in_cotree():
     inner = CotreeNode(label=1, children=[CotreeNode(vertex=0), CotreeNode(vertex=1)])
     root = CotreeNode(label=1, children=[inner, CotreeNode(vertex=2)])
-    with pytest.raises(ValueError):
-        check_cotree(Cotree(root, 3))
+    t = Cotree(root, 3)  # the constructor allows the repeat: it is K3 all the same
+    assert (root.size, root.big, inner.size) == (3, 0, 2)
+    assert kappa_hat(t) == kappa_hat(build_cotree(complete_graph(3)))
+    with pytest.raises(ValueError, match="repeats parent label"):
+        check_cotree(t)
+    # merged induced subtrees, as a benchmark check builds them: each one
+    # constructs, answers as the canonical cotree of its graph does, and is
+    # rejected by check_cotree and by both readers
+    rng = random.Random(17)
+    repeating = 0
+    for _ in range(40):
+        whole = random_cotree(rng.randint(8, 60), rng, max_children=rng.choice((2, 4, 8)))
+        sub = subcotree(whole.root, rng.sample(range(whole.n), rng.randint(2, whole.n)))
+        canonical = build_cotree(evaluate_cotree(sub))
+        assert kappa_hat(sub) == kappa_hat_naive(sub) == kappa_hat(canonical)
+        assert lambda_hat(sub) == lambda_hat(canonical)
+        assert validate_ferrers_against_cotree(sub, build_ferrers(sub))
+        if _repeats_a_label(sub):
+            repeating += 1
+            for check in (
+                check_cotree,
+                lambda x: cotree_from_text(cotree_to_text(x)),
+                lambda x: cotree_from_json(cotree_to_json(x)),
+            ):
+                with pytest.raises(ValueError, match="repeats parent label"):
+                    check(sub)
+        else:
+            check_cotree(sub)
+    assert repeating >= 10
 
 
 def test_bool_labels_are_rejected():
@@ -400,9 +438,15 @@ def test_bool_labels_are_rejected():
     for top in (True, False, 2):
         with pytest.raises(ValueError):
             deep_alternating_cotree(4, top)
-    root = CotreeNode(label=True, children=[CotreeNode(vertex=0), CotreeNode(vertex=1)])
-    with pytest.raises(ValueError):
-        check_cotree(Cotree(root, 2))
+    for label in (True, 2, None, -1, 1.0):
+        root = CotreeNode(label=label, children=[CotreeNode(vertex=0), CotreeNode(vertex=1)])
+        with pytest.raises(ValueError, match="0/1 label"):
+            Cotree(root, 2)
+    # nor is a bool or a float a vertex id
+    for vertex in (True, 1.0):
+        root = CotreeNode(label=0, children=[CotreeNode(vertex=0), CotreeNode(vertex=vertex)])
+        with pytest.raises(ValueError, match="bad leaf vertex"):
+            Cotree(root, 2)
 
 
 def _leaf_count(node):
@@ -412,6 +456,13 @@ def _leaf_count(node):
 def _first_largest(node):
     sizes = [_leaf_count(c) for c in node.children]
     return sizes.index(max(sizes)) if sizes else 0
+
+
+def _node(label, *children):
+    """An internal node over children given as nodes or as leaf vertex ids."""
+    return CotreeNode(label=label, children=[
+        c if isinstance(c, CotreeNode) else CotreeNode(vertex=c) for c in children
+    ])
 
 
 def test_constructor_sets_sizes_of_hand_built_trees_and_checks_n():
@@ -434,9 +485,28 @@ def test_constructor_sets_sizes_of_hand_built_trees_and_checks_n():
     tied = Cotree(CotreeNode(label=0, children=[pair, *three]), 8)
     assert (tied.root.big, pair.big) == (1, 0)
     check_cotree(t)
-    for n in (0, 8, 10):
+    for n in (-1, 0, 8, 10, 10**12):  # no n-sized table is allocated for 10**12
         with pytest.raises(ValueError):
             Cotree(wide, n)
+    # malformed trees, each of which would give a wrong answer or a traceback
+    # in an engine or a writer; a one-child node writes 0(0), which the text
+    # reader rejects
+    for root, n, labels, message in (
+        (_node(0, 0, 1, _node(1)), 2, None, "fewer than 2 children"),
+        (_node(0, 0, _node(1, 1)), 2, None, "fewer than 2 children"),
+        (_node(0, 0, 1, 1), 3, None, "bad leaf vertex 1"),
+        (_node(0, 0, -1), 2, None, "bad leaf vertex -1"),
+        (_node(0, 0, 2), 2, None, "bad leaf vertex 2"),
+        (_node(1, 0, _node(0, 1, 2)), 3, ("a", "b"), "2 labels for n = 3"),
+        (_node(1, 0, _node(0, 1, 2)), 3, ("a", "b", "c", "d"), "4 labels for n = 3"),
+        # a leaf given children: its children's leaves are not the root's
+        (_node(1, 0, CotreeNode(vertex=1, children=[CotreeNode(vertex=2)])), 3, None,
+         "leaves do not cover"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Cotree(root, n, labels)
+    t = Cotree(_node(1, 0, _node(0, 1, 2)), 3, ("a", "b", "c"))
+    assert '"name": "c"' in cotree_to_json(t)
 
 
 def test_random_cotree_output_is_pinned():

@@ -104,6 +104,23 @@ def test_validator_rejects_swapped_cells():
     assert not validate_ferrers_against_cotree(t, empty_row)
 
 
+def test_tree_validator_rejects_each_fault():
+    # 2K2, the cotree 0(1(0,1),1(2,3)): its diagram has rows {0,2}, {1,3}
+    t = build_cotree(l_copies_of_k_clique(2, 2))
+    built = build_ferrers(t)
+    assert validate_ferrers_against_cotree(t, built)
+    for rows in (
+        ((0, 2), (0, 3)),  # a cell repeated
+        ((0, 2), (1, 4)),  # the vertex set is not 0..3
+        # 0, 1 share a row below the root: that 1-node's row crosses its join,
+        # and the root meets a crossing lower down
+        ((0, 1), (2, 3)),
+    ):
+        f = type(built)(rows)
+        assert not validate_ferrers(evaluate_cotree(t), f)
+        assert not validate_ferrers_against_cotree(t, f)
+
+
 def test_read_colouring_valid_whenever_feasible():
     rng = random.Random(43)
     for _ in range(50):

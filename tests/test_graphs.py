@@ -39,6 +39,13 @@ def test_public_constructor_still_checks():
     ):
         with pytest.raises(ValueError, match=message):
             Graph(2, adj)
+    for n, adj, labels, message in (
+        (-1, (), None, "non-negative"),
+        (2, (frozenset(),), None, "adjacency table length"),
+        (1, (frozenset(),), ("a", "b"), "labels length"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, adj, labels)
     for n, edges, labels, message in (
         (2, [(1, 1)], None, "self-loop"),
         (2, [(0, 2)], None, "out of range"),
@@ -199,6 +206,20 @@ def test_parse_graph6_rejects_bad_bytes():
         parse_graph6("C\x01")
     with pytest.raises(GraphFormatError):
         parse_graph6("")
+    # truncated '~' + 3-byte and '~~' + 6-byte vertex counts
+    for text in ("~A", "~A?", "~~", "~~@????"):
+        with pytest.raises(GraphFormatError, match="truncated graph6 vertex count"):
+            parse_graph6(text)
+    # the 8-byte header declares n = 2^30; the one-byte body fails the length
+    # check before anything of that size is allocated
+    with pytest.raises(GraphFormatError, match="body has 1 bytes, .* n=1073741824"):
+        parse_graph6("~~@??????")
+
+
+def test_parse_graph6_optional_header():
+    assert parse_graph6(">>graph6<<Bw") == parse_graph6("Bw")
+    with pytest.raises(GraphFormatError, match="empty"):
+        parse_graph6(">>graph6<<")
 
 
 def test_parse_graph6_rejects_non_ascii():
@@ -237,6 +258,11 @@ def test_disjoint_union_and_join_counts():
     assert u.n == j.n == 7
     assert u.m == a.m + b.m
     assert j.m == a.m + b.m + a.n * b.n
+    # labels carry over; an unlabelled side is named by its own vertex ids
+    named = Graph.from_edges(2, [(0, 1)], ["x", "y"])
+    u = disjoint_union(named, a)
+    assert [u.label(v) for v in range(u.n)] == ["x", "y", "0", "1", "2"]
+    assert [disjoint_union(a, named).label(v) for v in (2, 3, 4)] == ["2", "x", "y"]
 
 
 def test_join_is_complement_of_union_of_complements():
@@ -250,6 +276,9 @@ def test_induced_subgraph_relabels_and_keeps_labels():
     assert s.n == 3
     assert list(s.edges()) == [(0, 1), (1, 2)]
     assert [s.label(v) for v in range(3)] == ["0", "2", "4"]
+    for vertex in (5, -1):
+        with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
+            induced_subgraph(g, {0, vertex})
 
 
 def test_clique_and_independent_set_predicates():

@@ -107,3 +107,27 @@ def test_node_layout_stays_in_the_cotree_module():
         if isinstance(node, ast.Attribute) and node.attr in LAYOUT
     ]
     assert not found, "node layout read outside cotree.py: " + ", ".join(found)
+
+
+# The definitions that may write a node's size and big: the node's own
+# __init__, and the one walk that checks every cotree as it sizes it.
+SIZERS = {("cotree.py", "CotreeNode.__init__"), ("cotree.py", "_check_nodes")}
+
+
+def test_one_walk_writes_the_sizes():
+    found = []
+    for name, tree in _sources():
+        for top in tree.body:
+            for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+                where = getattr(top, "name", "?")
+                if part is not top:
+                    where += "." + getattr(part, "name", "?")
+                found += [
+                    f"{name}:{node.lineno} .{node.attr} in {where}"
+                    for node in ast.walk(part)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and node.attr in ("size", "big")
+                    and (name, where) not in SIZERS
+                ]
+    assert not found, "size or big written outside _check_nodes: " + ", ".join(found)

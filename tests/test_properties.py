@@ -5,9 +5,8 @@ import functools
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import cotree_from_text_reference, cotrees
+from helpers import cotree_from_text_reference, cotrees, subcotree
 from klcograph import (
-    Cotree,
     build_ferrers,
     build_ferrers_naive,
     complement_cotree,
@@ -44,7 +43,7 @@ def test_sequence_calculus_identities(t):
     if t.root.children:
         # a 0-node is a disjoint union, a 1-node a join
         merge = star_merge if t.root.label == 0 else entrywise_add
-        parts = [kappa_hat(Cotree(child, child.size)) for child in t.root.children]
+        parts = [kappa_hat(subcotree(child, range(t.n))) for child in t.root.children]
         assert functools.reduce(merge, parts) == kappa
 
 

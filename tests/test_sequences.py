@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klcograph import (
+    KLColouring,
     PartitionSequence,
     bichromatic_number,
     build_cotree,
@@ -42,6 +43,9 @@ def test_sequence_validation():
     with pytest.raises(ValueError):
         PartitionSequence([2, 0])
     assert PartitionSequence([]).entries == ()
+    with pytest.raises(ValueError, match="run multiplicity 0 is not positive"):
+        PartitionSequence.from_text("3^0")
+    assert PartitionSequence.from_text("") == PartitionSequence.from_text("  ") == ()
 
 
 def test_sequence_text_round_trip():
@@ -128,6 +132,8 @@ def test_cochromatic_matches_definition(s):
 def test_kappa_at_zero_beyond_length():
     s = PartitionSequence([3, 1])
     assert [kappa_at(s, l) for l in range(4)] == [3, 1, 0, 0]
+    with pytest.raises(ValueError, match="natural number"):
+        kappa_at(s, -1)
 
 
 def test_kappa_hat_of_single_leaf():
@@ -195,6 +201,22 @@ def test_extract_colouring_valid_for_all_feasible_parameters():
             k = kappa_at(kh, l)
             col = read_colouring(build_ferrers(t), k, l)
             assert validate_colouring(g, col, k, l)
+
+
+def test_validate_colouring_rejects_each_fault():
+    # K2 plus an isolated vertex: 0-1 is the one edge
+    g = evaluate_cotree(cotree_from_text("0(1(0,1),2)"))
+    part = frozenset
+    good = KLColouring((part({0, 2}),), (part({1}),))
+    assert validate_colouring(g, good, 1, 1)
+    for colouring, k, l in (
+        (KLColouring((part({0, 2}),), ()), None, None),  # misses a vertex
+        (KLColouring((part({0, 2}),), (part({2}),)), None, None),  # 1 is uncovered
+        (KLColouring((part({0}), part({2})), (part({1}),)), 1, 1),  # 2 independent > k
+        (good, 1, 0),  # 1 clique part > l
+        (KLColouring((part({0, 1}),), (part({2}),)), 1, 1),  # 0-1 is not independent
+    ):
+        assert not validate_colouring(g, colouring, k, l)
 
 
 def test_extract_colouring_rejects_infeasible_parameters():
