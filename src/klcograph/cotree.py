@@ -16,12 +16,13 @@ not implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import json
 from json.decoder import scanstring
 import re
 import reprlib
 from typing import NoReturn
+import weakref
 
 from .graphs import Graph
 
@@ -57,14 +58,17 @@ class P4Witness:
 
 
 class CotreeNode:
-    """Node of a cotree.  Leaves carry a vertex id, internal nodes a 0/1 label.
+    """Node of a tree given to, or read from, a ``Cotree``.  Leaves carry a
+    vertex id, internal nodes a 0/1 label.
 
-    A ``Cotree`` over the node sets ``size``, its leaf count, and ``big``, the
-    index of its first child with the most leaves, as it checks the tree.
-    Leaves share one empty tuple of ``children`` unless given a list.
+    ``Cotree.root`` builds a tree of these from the cotree's lists, with
+    ``size``, the node's leaf count, and ``big``, the index of its first child
+    with the most leaves, set at every node.  The ``Cotree`` constructor reads
+    a tree of them once and keeps none.  Leaves share one empty tuple of
+    ``children`` unless given a list.
     """
 
-    __slots__ = ("label", "vertex", "children", "size", "big")
+    __slots__ = ("label", "vertex", "children", "size", "big", "__weakref__")
 
     def __init__(
         self,
@@ -87,68 +91,136 @@ class CotreeNode:
         return f"Node({self.label}, size={self.size})"
 
 
-@dataclass(frozen=True)
+# Codes that no well-formed cotree has, kept for the one check to reject in
+# postorder: a label other than 0 and 1, and a negative leaf id v as v - 3.
+_BAD_LABEL = -3
+
+
+@dataclass(frozen=True, init=False)
 class Cotree:
     """Rooted labelled decomposition tree, canonical when children alternate labels.
 
-    The constructor raises ValueError unless the leaves are the ints 0..n-1
-    once each, each internal node has the int label 0 or 1 and two or more
-    children, and ``labels``, if given, has n names.  It allows a child that
-    repeats its parent's label, as merging one-child nodes leaves it: the
-    graph is the same.  The readers and ``check_cotree`` reject that.
+    The tree is three parallel lists over its nodes in postorder (each node
+    after its children, children left to right): ``codes`` holds the vertex
+    id (>= 0) at a leaf and ``~label`` (-1 at a 0-node, -2 at a 1-node) at an
+    internal node, ``counts`` the child count, and ``bigs`` the index of the
+    first child with the most leaves (0 at a leaf).  No list changes after
+    construction, so trees may share them.  ``root`` is a view: a tree of
+    ``CotreeNode`` built from the lists when asked for, and returned again
+    while it is still in use; the cotree holds only a weak reference to it.
+
+    ``Cotree(root, n, labels)`` reads a tree of nodes in one walk.  It raises
+    ValueError unless the leaves are the ints 0..n-1 once each, each internal
+    node has the int label 0 or 1 and two or more children, and ``labels``,
+    if given, has n names.  It allows a child that repeats its parent's
+    label, as merging one-child nodes leaves it: the graph is the same.  The
+    readers and ``check_cotree`` reject that.
     """
 
-    root: CotreeNode
     n: int
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
+    codes: list[int] = field(repr=False, hash=False)
+    counts: list[int] = field(repr=False, hash=False)
+    bigs: list[int] = field(repr=False, hash=False)
 
-    def __post_init__(self) -> None:
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError(f"{len(self.labels)} labels for n = {self.n} vertices")
-        _check_nodes(postorder(self.root), self.n)
+    def __init__(
+        self, root: CotreeNode, n: int, labels: tuple[str, ...] | None = None
+    ) -> None:
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for n = {n} vertices")
+        # the walk meets each node before its children and the children
+        # right to left, the reverse of postorder, so it writes the lists
+        # backwards; it keeps an explicit stack, since trees can be deep
+        codes: list[int] = []
+        counts: list[int] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            v = node.vertex
+            if v is None:
+                label = node.label
+                # type(...) is int: True and 1.0 equal 1, but are no id or label
+                ok = type(label) is int and label in (0, 1)
+                codes.append(~label if ok else _BAD_LABEL)
+                kids = node.children
+                counts.append(len(kids))
+                stack.extend(kids)
+            elif type(v) is int:
+                codes.append(v if v >= 0 else v - 3)
+                counts.append(0)
+            else:
+                raise ValueError(f"bad leaf vertex {v}")
+        codes.reverse()
+        counts.reverse()
+        bigs, _ = _check_lists(codes, counts, n)
+        vars(self).update(n=n, labels=labels, codes=codes, counts=counts, bigs=bigs)
 
     @classmethod
-    def _checked(cls, order: list[CotreeNode], n: int) -> "Cotree":
-        """The cotree whose nodes ``order`` lists in postorder, n of them
-        leaves, checked as ``check_cotree`` checks; for the readers."""
-        if _check_nodes(order, n):
-            raise ValueError("child repeats parent label in a cotree")
+    def _of(
+        cls,
+        codes: list[int],
+        counts: list[int],
+        bigs: list[int],
+        n: int,
+        labels: tuple[str, ...] | None = None,
+    ) -> "Cotree":
+        """The cotree of lists that its producer built well formed; unchecked."""
         t = object.__new__(cls)
-        vars(t).update(root=order[-1], n=n, labels=None)
+        vars(t).update(n=n, labels=labels, codes=codes, counts=counts, bigs=bigs)
         return t
+
+    @classmethod
+    def _checked(cls, codes: list[int], counts: list[int], n: int) -> "Cotree":
+        """The cotree of a reader's lists, n of them leaves, checked as
+        ``check_cotree`` checks."""
+        bigs, repeats = _check_lists(codes, counts, n)
+        if repeats:
+            raise ValueError("child repeats parent label in a cotree")
+        return cls._of(codes, counts, bigs, n)
+
+    @property
+    def root(self) -> CotreeNode:
+        """The tree as nodes, each with its ``size`` and ``big``."""
+        view = vars(self).get("_view")
+        root = view() if view is not None else None
+        if root is not None:
+            return root
+        stack: list[CotreeNode] = []
+        for code, count, big in zip(self.codes, self.counts, self.bigs):
+            if code >= 0:
+                node = CotreeNode(vertex=code)
+                node.size = 1
+            else:
+                kids = stack[-count:]
+                del stack[-count:]
+                node = CotreeNode(label=~code, children=kids)
+                node.size = sum([kid.size for kid in kids])
+                node.big = big
+            stack.append(node)
+        root = stack[0]
+        vars(self)["_view"] = weakref.ref(root)
+        return root
+
+    def __getstate__(self) -> dict:
+        """The fields, for pickle and copy, without the weak reference."""
+        return {k: v for k, v in vars(self).items() if k != "_view"}
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
 
-def postorder(root: CotreeNode) -> list[CotreeNode]:
-    """Every node after its children, children left to right, as a list.
-
-    It is the reverse of a preorder that visits children right to left; the
-    walk keeps an explicit stack, since trees can be deep.
-    """
-    order: list[CotreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    order.reverse()
-    return order
-
-
 def _fold(t: Cotree, leaf, internal):
-    """The one bottom-up walk: ``leaf(vertex)`` at a leaf, ``internal(label,
-    values, big)`` at an internal node, with ``values`` a new list of its
-    children's results in order and ``big`` its ``big``; returns the root's.
-    Results wait on a value stack, so a node's children are its top entries."""
+    """The one bottom-up walk, over the lists: ``leaf(vertex)`` at a leaf,
+    ``internal(label, values, big)`` at an internal node, with ``values`` a
+    new list of its children's results in order and ``big`` its entry of
+    ``bigs``; returns the root's.  Results wait on a value stack, so a
+    node's children are its top ``count`` entries."""
     stack: list = []
-    for node in postorder(t.root):
-        if node.vertex is not None:
-            stack.append(leaf(node.vertex))
+    for code, count, big in zip(t.codes, t.counts, t.bigs):
+        if code >= 0:
+            stack.append(leaf(code))
         else:
-            count = len(node.children)
-            stack[-count:] = [internal(node.label, stack[-count:], node.big)]
+            stack[-count:] = [internal(~code, stack[-count:], big)]
     return stack[0]
 
 
@@ -193,25 +265,34 @@ def _components(g: Graph, vertices: set[int], co: int = 0) -> list[set[int]]:
     return comps
 
 
-def _decompose(g: Graph) -> CotreeNode | P4Witness:
-    """Root of the canonical cotree of g, or an induced P4 of g.
+def _decompose(g: Graph) -> Cotree | P4Witness:
+    """The canonical cotree of g, or an induced P4 of g.
 
     Every part of a 0-node is connected and every part of a 1-node is
     co-connected, so below the root one search per vertex set decides it: a
     child of a 0-node is split into co-components, a child of a 1-node into
     components, and a set that does not split is prime.  The root tries
-    components first.
+    components first.  The walk meets the nodes in preorder and writes each
+    into the lists once its children are written.
     """
-    root_box: list[CotreeNode] = []
-    # stack entries: (vertex set, node labels still to try, sink list that
-    # the built node is appended to); label 1 searches the complement
-    stack: list[tuple[set[int], tuple[int, ...], list[CotreeNode]]] = [
-        (set(range(g.n)), (0, 1), root_box)
-    ]
+    codes: list[int] = []
+    counts: list[int] = []
+    bigs: list[int] = []
+    # stack entries: (vertex set, node labels still to try; label 1 searches
+    # the complement), or (None, (code, count, big)) of a node to write
+    stack: list[tuple] = [(set(range(g.n)), (0, 1))]
     while stack:
-        vertices, labels, sink = stack.pop()
+        vertices, labels = stack.pop()
+        if vertices is None:
+            code, count, big = labels
+            codes.append(code)
+            counts.append(count)
+            bigs.append(big)
+            continue
         if len(vertices) == 1:
-            sink.append(CotreeNode(vertex=next(iter(vertices))))
+            codes.append(next(iter(vertices)))
+            counts.append(0)
+            bigs.append(0)
             continue
         for label in labels:
             parts = _components(g, vertices, label)
@@ -222,13 +303,16 @@ def _decompose(g: Graph) -> CotreeNode | P4Witness:
             if not witness.holds_in(g):
                 raise RuntimeError("P4 witness does not hold in the graph")
             return witness
-        node = CotreeNode(label=label)
-        sink.append(node)
         parts.sort(key=lambda p: (len(p), min(p)), reverse=True)
+        # reversed pushes keep child order: the children run from the last
+        # part, so the first largest child is the last part as large as parts[0]
+        tied = 1
+        while tied < len(parts) and len(parts[tied]) == len(parts[0]):
+            tied += 1
+        stack.append((None, (~label, len(parts), len(parts) - tied)))
         below = (1 - label,)
-        for part in parts:  # reversed pushes keep child order
-            stack.append((part, below, node.children))
-    return root_box[0]
+        stack.extend([(part, below) for part in parts])
+    return Cotree._of(codes, counts, bigs, g.n, g.labels)
 
 
 def _p4_in_module(g: Graph, s: set[int]) -> P4Witness:
@@ -314,10 +398,7 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
     """
     if g.n == 0:
         raise ValueError("cotree construction requires at least one vertex")
-    found = _decompose(g)
-    if isinstance(found, P4Witness):
-        return found
-    return Cotree(found, g.n, g.labels)
+    return _decompose(g)
 
 
 def evaluate_cotree(t: Cotree) -> Graph:
@@ -337,58 +418,64 @@ def evaluate_cotree(t: Cotree) -> Graph:
 
 
 def complement_cotree(t: Cotree) -> Cotree:
-    """Label-flipped copy: represents the complement graph."""
-    root = _fold(
-        t,
-        lambda v: CotreeNode(vertex=v),
-        lambda label, parts, _big: CotreeNode(label=1 - label, children=parts),
-    )
-    return Cotree(root, t.n, t.labels)
+    """Label-flipped copy: represents the complement graph.  It shares
+    ``counts`` and ``bigs`` with t; -3 - code maps ~0 to ~1 and back."""
+    codes = [c if c >= 0 else -3 - c for c in t.codes]
+    return Cotree._of(codes, t.counts, t.bigs, t.n, t.labels)
 
 
 def check_cotree(t: Cotree) -> None:
     """Raise ValueError unless t is well formed and its labels alternate."""
-    Cotree._checked(postorder(t.root), t.n)
+    Cotree._checked(t.codes, t.counts, t.n)
 
 
-def _check_nodes(order: list[CotreeNode], n: int) -> bool:
-    """The constructor's one walk over a tree's nodes in postorder: it raises
-    ValueError unless the tree is well formed, sets each node's ``size`` and
-    ``big``, and returns whether a child repeats its parent's label."""
-    if n > len(order):
-        raise ValueError(f"cotree of {len(order)} nodes cannot have n = {n} leaves")
+def _check_lists(
+    codes: list[int], counts: list[int], n: int
+) -> tuple[list[int], bool]:
+    """The one check of a cotree's lists, in postorder: it raises ValueError
+    unless they are a well-formed tree on the leaves 0..n-1, and returns its
+    ``bigs`` and whether a child repeats its parent's label."""
+    if n > len(codes):
+        raise ValueError(f"cotree of {len(codes)} nodes cannot have n = {n} leaves")
     seen = bytearray(n)
     repeats = False
-    for node in order:
-        v = node.vertex
-        if v is not None:
-            # type(...) is int: True and 1.0 equal 1, but are no id or label
-            if type(v) is not int or not 0 <= v < n or seen[v]:
-                raise ValueError(f"bad leaf vertex {v}")
-            seen[v] = 1
-            node.size = 1
+    bigs: list[int] = []
+    # per subtree whose parent is still to come: its leaf count, and its code
+    sizes: list[int] = []
+    kinds: list[int] = []
+    for code, count in zip(codes, counts):
+        if code >= 0:
+            if code >= n or seen[code]:
+                raise ValueError(f"bad leaf vertex {code}")
+            seen[code] = 1
+            sizes.append(1)
+            kinds.append(code)
+            bigs.append(0)
             continue
-        label = node.label
-        if type(label) is not int or label not in (0, 1):
-            raise ValueError("internal node without 0/1 label")
-        kids = node.children
-        if len(kids) < 2:
+        if code < -2:
+            if code == _BAD_LABEL:
+                raise ValueError("internal node without 0/1 label")
+            raise ValueError(f"bad leaf vertex {code + 3}")
+        if count < 2:
             raise ValueError("internal node with fewer than 2 children")
+        if code in kinds[-count:]:
+            repeats = True
+        del kinds[-count:]
+        kinds.append(code)
         # a counted loop: sum, max and index take twice as long, enumerate 15% more
         size = most = big = i = 0
-        for c in kids:
-            s = c.size
+        for s in sizes[-count:]:
             size += s
             if s > most:
                 most, big = s, i
-            if c.label == label and c.vertex is None:
-                repeats = True
             i += 1
-        node.size, node.big = size, big
-    # a leaf given children leaves their leaves out of the root's count
-    if order[-1].size != n:
+        sizes[-count:] = [size]
+        bigs.append(big)
+    # the constructor does not read a leaf's children, so a leaf given
+    # children leaves their leaves out of the root's count
+    if len(sizes) != 1 or sizes[0] != n:
         raise ValueError("leaves do not cover all vertices")
-    return repeats
+    return bigs, repeats
 
 
 # --- serialization ---------------------------------------------------------
@@ -397,33 +484,38 @@ def _check_nodes(order: list[CotreeNode], n: int) -> bool:
 # memory, and appends tokens to one list that is joined once.
 
 
-def _serialize(
-    root: CotreeNode, leaf, openings: tuple[str, str], sep: str, close: str
-) -> str:
+def _serialize(t: Cotree, leaf, openings: tuple[str, str], sep: str, close: str) -> str:
     """``leaf(vertex)`` at a leaf; ``openings[label]``, the children separated
-    by ``sep``, then ``close`` at an internal node."""
+    by ``sep``, then ``close`` at an internal node.
+
+    The lists are walked backwards, which meets each node before its
+    children and the children right to left, so the tokens are written last
+    to first and reversed once."""
     out: list[str] = []
-    stack: list = [root]  # nodes, and the separators and closers still to write
-    while stack:
-        item = stack.pop()
-        if item.__class__ is str:
-            out.append(item)
-        elif item.vertex is not None:
-            out.append(leaf(item.vertex))
-        else:
-            out.append(openings[item.label])
-            stack.append(close)
-            kids = item.children
-            for i in range(len(kids) - 1, 0, -1):
-                stack.append(kids[i])
-                stack.append(sep)
-            stack.append(kids[0])
+    opens: list[str] = []  # per node whose opening is still to write: the opening
+    left: list[int] = []  # and its children still to write
+    for code, count in zip(reversed(t.codes), reversed(t.counts)):
+        if code < 0:
+            out.append(close)
+            opens.append(openings[~code])
+            left.append(count)
+            continue
+        out.append(leaf(code))
+        # a subtree just ended: its parent writes a separator, or ends too
+        while left:
+            if left[-1] > 1:
+                left[-1] -= 1
+                out.append(sep)
+                break
+            left.pop()
+            out.append(opens.pop())
+    out.reverse()
     return "".join(out)
 
 
 def cotree_to_text(t: Cotree) -> str:
     """Nested parenthesized form over vertex ids, e.g. ``1(0(0,1),2)``."""
-    return _serialize(t.root, str, ("0(", "1("), ",", ")")
+    return _serialize(t, str, ("0(", "1("), ",", ")")
 
 
 def cotree_to_json(t: Cotree) -> str:
@@ -431,7 +523,7 @@ def cotree_to_json(t: Cotree) -> str:
     ``{"vertex", "name"}`` objects; names are quoted as ``json.dumps`` does."""
     quote = json.encoder.encode_basestring_ascii
     return _serialize(
-        t.root,
+        t,
         lambda v: '{"vertex": %d, "name": %s}' % (v, quote(t.label_of(v))),
         ('{"label": 0, "children": [', '{"label": 1, "children": ['),
         ", ",
@@ -526,7 +618,8 @@ def _reject_constant(name: str) -> NoReturn:
 
 
 def cotree_from_json(text: str) -> Cotree:
-    """Inverse of ``cotree_to_json``; raises ValueError on malformed input.
+    """Inverse of ``cotree_to_json``; raises ValueError on malformed input,
+    such as a node with a vertex and also a label or children.
 
     The C ``json.loads`` reads the document unless it nests too deeply for
     the interpreter's recursion limit; ``_json_loads`` then reads it.  Both
@@ -536,33 +629,41 @@ def cotree_from_json(text: str) -> Cotree:
         data = json.loads(text, parse_constant=_reject_constant)
     except RecursionError:
         data = _json_loads(text)
-    root_box: list[CotreeNode] = []
+    codes: list[int] = []
+    counts: list[int] = []
     leaves = 0
-    # stack entries: (JSON object, children list the decoded node joins)
-    stack: list[tuple[object, list[CotreeNode]]] = [(data, root_box)]
+    # stack entries: JSON objects still to read, first child on top, and the
+    # (code, count) of each node read whose children are still to come
+    stack: list[object] = [data]
     while stack:
-        obj, sink = stack.pop()
+        obj = stack.pop()
+        if obj.__class__ is tuple:
+            codes.append(obj[0])
+            counts.append(obj[1])
+            continue
         if not isinstance(obj, dict):
             raise ValueError(
                 f"cotree JSON node must be an object, got {reprlib.repr(obj)}"
             )
-        if "vertex" in obj:
-            sink.append(CotreeNode(vertex=_json_int(obj["vertex"], "vertex")))
+        if "vertex" in obj and "label" not in obj and "children" not in obj:
+            v = _json_int(obj["vertex"], "vertex")
+            codes.append(v if v >= 0 else v - 3)
+            counts.append(0)
             leaves += 1
             continue
         children = obj.get("children")
-        if "label" not in obj or not isinstance(children, list):
+        if "vertex" in obj or "label" not in obj or not isinstance(children, list):
             raise ValueError(
                 "cotree JSON node needs a vertex, or a label and a children list"
             )
-        node = CotreeNode(label=_json_int(obj["label"], "label"))
-        sink.append(node)
-        for child in reversed(children):
-            stack.append((child, node.children))
-    return Cotree._checked(postorder(root_box[0]), leaves)
+        label = _json_int(obj["label"], "label")
+        stack.append((~label if label in (0, 1) else _BAD_LABEL, len(children)))
+        stack.extend(reversed(children))
+    return Cotree._checked(codes, counts, leaves)
 
 
 _TEXT_DELIMITERS = re.compile(r"([(),])")
+_TEXT_LABEL_CODES = {"0": ~0, "1": ~1}
 
 
 def cotree_from_text(text: str) -> Cotree:
@@ -572,45 +673,47 @@ def cotree_from_text(text: str) -> Cotree:
     pieces = _TEXT_DELIMITERS.split(text)
     last = len(pieces) - 1
     i = pos = leaves = 0
-    order: list[CotreeNode] = []  # the nodes read so far, in postorder
-    open_nodes: list[CotreeNode] = []  # internal nodes whose ')' is pending
+    codes: list[int] = []  # the lists of the nodes read so far, in postorder
+    counts: list[int] = []
+    open_codes: list[int] = []  # per internal node whose ')' is pending: its code
+    open_counts: list[int] = []  # and its children so far
     while True:
         raw = pieces[i]
         token = raw.strip()
         pos += len(raw)
         if i < last and pieces[i + 1] == "(":
-            if token not in ("0", "1"):
+            code = _TEXT_LABEL_CODES.get(token)
+            if code is None:
                 raise ValueError(f"bad internal node label {token!r}")
-            node = CotreeNode(label=int(token))
-            if open_nodes:
-                open_nodes[-1].children.append(node)
-            open_nodes.append(node)
+            open_codes.append(code)
+            open_counts.append(1)
             i += 2
             pos += 1
             continue  # its first child comes next
         if not token:
             raise ValueError("empty leaf name in cotree text")
-        node = CotreeNode(vertex=int(token))
-        if open_nodes:
-            open_nodes[-1].children.append(node)
-        order.append(node)
+        v = int(token)
+        codes.append(v if v >= 0 else v - 3)
+        counts.append(0)
         leaves += 1
         # a node just ended: a ',' starts its next sibling, a ')' ends its
         # parent, and j is the delimiter after it
         j = i + 1
-        while open_nodes and j < last and pieces[j] == ")":
-            order.append(open_nodes.pop())
+        while open_codes and j < last and pieces[j] == ")":
+            codes.append(open_codes.pop())
+            counts.append(open_counts.pop())
             pos += 1
             if pieces[j + 1]:  # text follows the ')', not a delimiter
                 j = last
                 break
             j += 2
-        if not open_nodes:
+        if not open_codes:
             break
         if j >= last or pieces[j] != ",":
             raise ValueError("unbalanced parentheses in cotree text")
+        open_counts[-1] += 1
         i = j + 1
         pos += 1
     if pos != len(text.rstrip()):
         raise ValueError("trailing characters after cotree text")
-    return Cotree._checked(order, leaves)
+    return Cotree._checked(codes, counts, leaves)

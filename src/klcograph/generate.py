@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .cotree import Cotree, CotreeNode
+from .cotree import Cotree
 
 
 def random_cotree(
@@ -16,26 +16,36 @@ def random_cotree(
     if n < 1:
         raise ValueError("need at least one leaf")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    root = CotreeNode()
-    leaves = n  # the walk meets the leaves right to left
-    # (node, budget, forced label or None)
-    stack: list[tuple[CotreeNode, int, int | None]] = [(root, n, None)]
+    # the walk meets the nodes in the reverse of postorder, so it writes the
+    # lists backwards, and the leaves right to left
+    codes: list[int] = []
+    counts: list[int] = []
+    bigs: list[int] = []
+    leaves = n
+    # (budget, forced label or None)
+    stack: list[tuple[int, int | None]] = [(n, None)]
     while stack:
-        node, budget, label = stack.pop()
+        budget, label = stack.pop()
         if budget == 1:
             leaves -= 1
-            node.vertex = leaves
-            node.children = ()  # the one empty tuple that every leaf shares
+            codes.append(leaves)
+            counts.append(0)
+            bigs.append(0)
             continue
-        node.label = rng.randrange(2) if label is None else label
+        if label is None:
+            label = rng.randrange(2)
         t = rng.randint(2, min(max_children, budget))
         cuts = sorted(rng.sample(range(1, budget), t - 1))
         parts = [b - a for a, b in zip([0] + cuts, cuts + [budget])]
-        for part in parts:
-            child = CotreeNode()
-            node.children.append(child)
-            stack.append((child, part, 1 - node.label))
-    return Cotree(root, n)
+        codes.append(~label)
+        counts.append(t)
+        bigs.append(parts.index(max(parts)))
+        below = 1 - label
+        stack.extend([(part, below) for part in parts])
+    codes.reverse()
+    counts.reverse()
+    bigs.reverse()
+    return Cotree._of(codes, counts, bigs, n)
 
 
 def deep_alternating_cotree(n: int, top_label: int = 0) -> Cotree:
@@ -48,9 +58,11 @@ def deep_alternating_cotree(n: int, top_label: int = 0) -> Cotree:
         raise ValueError("need at least one leaf")
     if type(top_label) is not int or top_label not in (0, 1):
         raise ValueError(f"top label must be the int 0 or 1, got {top_label!r}")
-    node = CotreeNode(vertex=0)
+    # in postorder: leaf 0, then per level its leaf v and the node over the
+    # spine and v, whose first largest child is the spine
+    codes = [0]
     label = top_label if n % 2 == 0 else 1 - top_label
     for v in range(1, n):
-        node = CotreeNode(label=label, children=[node, CotreeNode(vertex=v)])
+        codes += (v, ~label)
         label = 1 - label
-    return Cotree(node, n)
+    return Cotree._of(codes, [0] + [0, 2] * (n - 1), [0] * (2 * n - 1), n)

@@ -101,13 +101,17 @@ def star_merge(a: PartitionSequence, b: PartitionSequence) -> PartitionSequence:
 
 
 def conjugate(s: PartitionSequence) -> PartitionSequence:
-    """Reflection of the Ferrers diagram along the main diagonal."""
-    if not s:
-        return PartitionSequence()
-    out = [0] * s[0]
-    for e in s:
-        for j in range(e):
-            out[j] += 1
+    """Reflection of the Ferrers diagram along the main diagonal.
+
+    Entry j is the number of entries above j; as j grows, that count only
+    falls, so one pointer walks s from its end: O(len(s) + s[0]) steps, not
+    one per cell."""
+    out: list[int] = []
+    above = len(s)
+    for j in range(s[0] if s else 0):
+        while s[above - 1] <= j:
+            above -= 1
+        out.append(above)
     return PartitionSequence(out)
 
 

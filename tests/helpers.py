@@ -21,7 +21,20 @@ from klcograph import (
     join,
     random_cotree,
 )
-from klcograph.cotree import postorder
+
+
+def postorder(root: CotreeNode) -> list[CotreeNode]:
+    """Every node of a tree of nodes, such as a cotree's ``root`` view, after
+    its children, children left to right, as a list; the walk keeps an
+    explicit stack, since trees can be deep."""
+    order: list[CotreeNode] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    order.reverse()
+    return order
 
 
 def complete_graph(n: int) -> Graph:

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from klcograph import (
     random_cotree,
     validate_ferrers_against_cotree,
 )
-from klcograph.cotree import _components, postorder
+from klcograph.cotree import _components
 
 from helpers import (
     _doubling_ratio,
@@ -40,6 +41,7 @@ from helpers import (
     has_induced_p4,
     has_induced_p4_through,
     path_graph,
+    postorder,
     random_graph,
     subcotree,
 )
@@ -344,6 +346,15 @@ def test_text_and_json_round_trips():
     ):
         with pytest.raises(ValueError):
             cotree_from_json(bad)
+    # a leaf with children or a label is neither a leaf nor an internal node
+    for bad in (
+        '{"vertex": 0, "children": [1]}',
+        '{"vertex": 0, "label": 1}',
+        '{"label": 1, "children": [{"vertex": 0}, {"vertex": 1, "children": []}]}',
+        '{"label": 1, "children": [{"vertex": 0, "label": 0}, {"vertex": 1}]}',
+    ):
+        with pytest.raises(ValueError, match="needs a vertex, or a label and a children list"):
+            cotree_from_json(bad)
 
 
 def test_json_reader_matches_json_loads():
@@ -378,6 +389,27 @@ def test_deep_tree_does_not_hit_recursion_limit():
     assert cotree_to_json(cotree_from_json(encoded)) == encoded
 
 
+def test_lists_at_depth_ten_to_the_five():
+    # the readers, writers, engines and the view each keep an explicit stack
+    n = 10**5
+    t = deep_alternating_cotree(n)
+    back = cotree_from_text(cotree_to_text(t))
+    assert back == t
+    kappa = kappa_hat(back)
+    assert kappa.total == n and kappa_hat(complement_cotree(t)) == lambda_hat(t)
+    assert validate_ferrers_against_cotree(t, build_ferrers(t))
+    node, depth = t.root, 0
+    while node.children:
+        assert node.size == n - depth and node.children[1].is_leaf
+        node, depth = node.children[0], depth + 1
+    assert (depth, node.vertex) == (n - 1, 0)
+    # the lists pickle at any depth; the weak reference to the view does not go along
+    assert pickle.loads(pickle.dumps(t)) == t
+    # JSON nests two levels per cotree level, past what json.loads can read
+    deep = deep_alternating_cotree(10**4, 1)
+    assert cotree_from_json(cotree_to_json(deep)) == deep
+
+
 def test_folded_walks_at_depth():
     # the reference walks share one bottom-up fold with an explicit stack
     for top in (0, 1):
@@ -403,7 +435,8 @@ def test_check_cotree_rejects_repeated_labels_in_cotree():
     inner = CotreeNode(label=1, children=[CotreeNode(vertex=0), CotreeNode(vertex=1)])
     root = CotreeNode(label=1, children=[inner, CotreeNode(vertex=2)])
     t = Cotree(root, 3)  # the constructor allows the repeat: it is K3 all the same
-    assert (root.size, root.big, inner.size) == (3, 0, 2)
+    view = t.root
+    assert (view.size, view.big, view.children[0].size) == (3, 0, 2)
     assert kappa_hat(t) == kappa_hat(build_cotree(complete_graph(3)))
     with pytest.raises(ValueError, match="repeats parent label"):
         check_cotree(t)
@@ -483,7 +516,7 @@ def test_constructor_sets_sizes_of_hand_built_trees_and_checks_n():
     three = [CotreeNode(label=1, children=[CotreeNode(vertex=v) for v in vs])
              for vs in ((2, 3, 4), (5, 6, 7))]
     tied = Cotree(CotreeNode(label=0, children=[pair, *three]), 8)
-    assert (tied.root.big, pair.big) == (1, 0)
+    assert (tied.root.big, tied.root.children[0].big) == (1, 0)
     check_cotree(t)
     for n in (-1, 0, 8, 10, 10**12):  # no n-sized table is allocated for 10**12
         with pytest.raises(ValueError):

@@ -86,16 +86,18 @@ def test_one_answer_path_through_the_cli():
 
 
 def test_one_bottom_up_walk():
-    # every bottom-up walk goes through cotree._fold; a node-keyed dict or a
-    # second walk would creep back in with a new loop
-    found = [f for f in _calls("postorder", set()) if not f.startswith("cotree.py:")]
-    assert not found, "postorder outside cotree.py: " + ", ".join(found)
+    # every bottom-up walk goes through cotree._fold over the lists; a walk
+    # over a tree of nodes would bring a second walk, and node-keyed dicts,
+    # back with a new loop
+    found = _calls("postorder", set())
+    assert not found, "postorder in the package: " + ", ".join(found)
 
 
-# The node attributes that only cotree.py reads and generate.py builds, so
-# that the node layout can change behind the constructor and _fold.
-LAYOUT = {"children", "size", "big"}
-LAYOUT_MODULES = {"cotree.py", "generate.py"}
+# The cotree's lists and the node attributes of its view, which only
+# cotree.py reads, so that the layout can change behind the constructor,
+# the view and _fold.
+LAYOUT = {"codes", "counts", "bigs", "children", "size", "big"}
+LAYOUT_MODULES = {"cotree.py"}
 
 
 def test_node_layout_stays_in_the_cotree_module():
@@ -106,12 +108,12 @@ def test_node_layout_stays_in_the_cotree_module():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in LAYOUT
     ]
-    assert not found, "node layout read outside cotree.py: " + ", ".join(found)
+    assert not found, "cotree layout read outside cotree.py: " + ", ".join(found)
 
 
 # The definitions that may write a node's size and big: the node's own
-# __init__, and the one walk that checks every cotree as it sizes it.
-SIZERS = {("cotree.py", "CotreeNode.__init__"), ("cotree.py", "_check_nodes")}
+# __init__, and the view that builds the nodes from the lists.
+SIZERS = {("cotree.py", "CotreeNode.__init__"), ("cotree.py", "Cotree.root")}
 
 
 def test_one_walk_writes_the_sizes():
@@ -130,4 +132,4 @@ def test_one_walk_writes_the_sizes():
                     and node.attr in ("size", "big")
                     and (name, where) not in SIZERS
                 ]
-    assert not found, "size or big written outside _check_nodes: " + ", ".join(found)
+    assert not found, "size or big written outside Cotree.root: " + ", ".join(found)

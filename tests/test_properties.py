@@ -5,23 +5,28 @@ import functools
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import cotree_from_text_reference, cotrees, subcotree
+from helpers import cotree_from_text_reference, cotrees, postorder, subcotree
 from klcograph import (
+    Cotree,
+    build_cotree,
     build_ferrers,
     build_ferrers_naive,
+    check_cotree,
     complement_cotree,
     cotree_from_json,
     cotree_from_text,
     cotree_to_json,
     cotree_to_text,
+    deep_alternating_cotree,
     entrywise_add,
+    evaluate_cotree,
     kappa_hat,
     kappa_hat_naive,
     lambda_hat,
     lambda_hat_naive,
+    random_cotree,
     star_merge,
 )
-from klcograph.cotree import postorder
 
 
 @seed(20261018)
@@ -47,6 +52,24 @@ def test_sequence_calculus_identities(t):
         assert functools.reduce(merge, parts) == kappa
 
 
+def _shape(t):
+    """The tree's lists, then its root view node by node: label, vertex,
+    size, big and child count."""
+    view = [(x.label, x.vertex, x.size, x.big, len(x.children)) for x in postorder(t.root)]
+    return t.n, t.codes, t.counts, t.bigs, view
+
+
+def _routes(t):
+    """t built again by every route that must give its lists: the
+    constructor over its view, both readers, and two complements."""
+    return [
+        Cotree(t.root, t.n),
+        cotree_from_text(cotree_to_text(t)),
+        cotree_from_json(cotree_to_json(t)),
+        complement_cotree(complement_cotree(t)),
+    ]
+
+
 @seed(20261018)
 @settings(max_examples=200, deadline=None, database=None)
 @given(cotrees())
@@ -55,6 +78,24 @@ def test_text_and_json_round_trips_return_the_same_text(t):
     assert cotree_to_text(cotree_from_text(text)) == text
     encoded = cotree_to_json(t)
     assert cotree_to_json(cotree_from_json(encoded)) == encoded
+    shape = _shape(t)
+    assert all(_shape(other) == shape for other in _routes(t))
+    # recognition gives the canonical tree, which is its own fixed point
+    canon = build_cotree(evaluate_cotree(t))
+    shape = _shape(canon)
+    assert _shape(build_cotree(evaluate_cotree(canon))) == shape
+    assert all(_shape(other) == shape for other in _routes(canon))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from((2, 4, 16)),
+       st.integers(0, 1))
+def test_generators_give_the_lists_of_every_route(n, rng_seed, max_children, top):
+    for t in (random_cotree(n, rng_seed, max_children), deep_alternating_cotree(n, top)):
+        check_cotree(t)
+        shape = _shape(t)
+        assert all(_shape(other) == shape for other in _routes(t))
 
 
 MUTATION_CHARS = "(),01 9\t-x_+٣"
@@ -79,12 +120,12 @@ def mutated_cotree_texts(draw):
 
 
 def _outcome(reader, text):
-    """The tree read, node by node with size and big, or the ValueError's message."""
+    """The tree read, as its lists and its view, or the ValueError's message."""
     try:
         t = reader(text)
     except ValueError as exc:
         return str(exc)
-    return t.n, [(x.label, x.vertex, x.size, x.big, len(x.children)) for x in postorder(t.root)]
+    return _shape(t)
 
 
 @seed(20261018)
