@@ -41,6 +41,7 @@ from .sequences import (
     PartitionSequence,
     bichromatic_number,
     cochromatic_number,
+    is_kl_colourable,
     kappa_at,
     kappa_hat,
     kappa_hat_naive,
@@ -102,12 +103,10 @@ def _sequence(args: argparse.Namespace, g: Graph, oracle, engine) -> PartitionSe
     return engine(_need_cotree(g))
 
 
-def _colouring(args: argparse.Namespace, g: Graph) -> KLColouring:
-    """The step check and certify share: a (k,l)-colouring of g, or
-    ``_Negative`` with the box certificate."""
-    if not g.n:
-        return KLColouring((), ())
-    result = certify_non_colourable(_need_cotree(g), args.k, args.l)
+def _colouring(args: argparse.Namespace, g: Graph, t: Cotree) -> KLColouring:
+    """The step check and certify share: a (k,l)-colouring of g off its
+    cotree t, or ``_Negative`` with the box certificate."""
+    result = certify_non_colourable(t, args.k, args.l)
     if isinstance(result, BoxCertificate):
         raise _Negative(_cert_payload(g, result))
     return result
@@ -123,12 +122,14 @@ def _cmd_sequence(args: argparse.Namespace, g: Graph, oracle, engine) -> str:
 
 
 def cmd_check(args: argparse.Namespace, g: Graph) -> str:
-    _colouring(args, g)
+    # kappa answers; the diagram is built only for the certificate of a no
+    if g.n and not is_kl_colourable(kappa_hat(t := _need_cotree(g)), args.k, args.l):
+        _colouring(args, g, t)  # raises _Negative
     return json.dumps({"colourable": True, "k": args.k, "l": args.l})
 
 
 def cmd_certify(args: argparse.Namespace, g: Graph) -> str:
-    col = _colouring(args, g)
+    col = _colouring(args, g, _need_cotree(g)) if g.n else KLColouring((), ())
     return json.dumps(
         {
             "independent_sets": [

@@ -4,18 +4,22 @@ Vertices are placed on a staircase grid so that every row is an independent
 set and every column induces a clique.  Column heights read off the kappa
 sequence, row lengths the lambda sequence.
 
-``build_ferrers`` keeps the columns and the rows of each subtree as
-run-length lists of lines.  Columns follow the kappa operators and rows the
-lambda operators, each merged into the child with the most leaves, for
-O(n log n) total work; a vertex's cell is (its row's index, its column's
-index).  A subtree is the tuple (cols, rows) and a leaf its bare vertex id,
-so a leaf child is folded in O(1): one new line of size 1, and one more
-vertex on the first line.  ``build_ferrers_naive``, which re-sorts whole
-representations at every tree node, is the reference: the two produce the
-same grid cell for cell, since concatenation order is the children's order
-and sorting by size is stable.  Both builders and the tree-driven validator
-are per-node rules that the cotree module's one bottom-up fold walks.
-Colourings are read off the rows of the diagram.
+``build_ferrers`` keeps the columns and the rows of each subtree as run
+lists of lines, a line being a list of vertices.  Columns follow the kappa
+operators and rows the lambda operators, each merged into the child with the
+most leaves, for O(n log n) total work; a vertex's cell is (its row's index,
+its column's index).  A run is [-size, deque of lines], with sizes strictly
+decreasing, so a run list is ascending and ``bisect`` compares runs in C,
+never a deque.  A leaf is its bare vertex id and costs O(1): a node of
+leaves only is built in one step, and the leaves beside a larger sibling
+each become a line of size 1 among the lines that merge by size, and
+together join the first of the lines that add up.
+``build_ferrers_naive``, which re-sorts whole representations at every tree
+node, is the reference: the two produce the same grid cell for cell, since
+concatenation order is the children's order and sorting by size is stable.
+Both builders and the tree-driven validator are per-node rules that the
+cotree module's one bottom-up fold walks.  Colourings are read off the rows
+of the diagram.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, takewhile
-from typing import Iterator
 from xml.sax.saxutils import escape
 
 from .cotree import Cotree, _fold
@@ -94,107 +97,109 @@ def build_ferrers_naive(t: Cotree) -> FerrersRepresentation:
 
 
 # --- run-list builder ------------------------------------------------------
-#
-# Runs are [size, deque of lines] with strictly decreasing sizes, where a line
-# is a list of vertices: a column, or a row.  Column heights follow the kappa
-# operators and row lengths the lambda operators, each on its own, so a
-# vertex's cell is (index of its row line, index of its column line).
 
 
 def _star_lines(big: list, small: list, small_first: bool) -> None:
     """Merge small's runs into big by size; ties go ahead of big's lines when
     small is the earlier child, behind them otherwise."""
-    for size, lines in small:
-        i = bisect_left(big, -size, key=lambda r: -r[0])
-        if i < len(big) and big[i][0] == size:
+    i = 0
+    for run in small:
+        i = bisect_left(big, run[:1], i)
+        if i < len(big) and big[i][0] == run[0]:
             if small_first:
-                big[i][1].extendleft(reversed(lines))
+                big[i][1].extendleft(reversed(run[1]))
             else:
-                big[i][1].extend(lines)
+                big[i][1].extend(run[1])
         else:
-            big.insert(i, [size, lines])
+            big.insert(i, run)
 
 
 def _add_lines(big: list, small: list) -> None:
     """Extend line j of big with line j of small; small's extra lines go last.
 
     Run boundaries of either operand force a strict decrease in the sum, so
-    only big's straddling run is split and nothing is coalesced.
+    only the run of big that straddles a boundary of small is split, and
+    nothing is coalesced.
     """
-    new: list = []
     bi = 0
     for s_size, s_lines in small:
         while s_lines:
             if bi == len(big):
-                new.append([s_size, s_lines])
-                break
-            b_size, b_lines = big[bi]
-            if len(s_lines) >= len(b_lines):
-                taken = b_lines
+                big.append([s_size, s_lines])
                 bi += 1
+                break
+            run = big[bi]
+            bi += 1
+            lines = run[1]
+            if len(s_lines) < len(lines):  # split off the lines that grow
+                lines = deque([lines.popleft() for _ in s_lines])
+                big.insert(bi - 1, [run[0] + s_size, lines])
             else:
-                taken = deque(b_lines.popleft() for _ in range(len(s_lines)))
-            for line in taken:
-                line.extend(s_lines.popleft())
-            new.append([b_size + s_size, taken])
-    big[:bi] = new
-
-
-def _lines(runs: list) -> Iterator[list[int]]:
-    """Every line of a run list, in order."""
-    return (line for _, lines in runs for line in lines)
-
-
-def _leaf_runs(part) -> tuple[list, list]:
-    """A subtree's (cols, rows); a leaf's bare vertex id becomes one cell."""
-    if type(part) is tuple:
-        return part
-    return [[1, deque([[part]])]], [[1, deque([[part]])]]
+                run[0] += s_size
+            for line in lines:
+                line += s_lines.popleft()
 
 
 def build_ferrers(t: Cotree) -> FerrersRepresentation:
     """Folded over the cotree; each node merges its children into the largest.
 
+    A subtree is (cols, rows), two lists of [-size, deque of lines] runs.
     0-nodes star-merge the column runs and add the row runs, 1-nodes the
     reverse.  Children before the largest go ahead of it among equal-size
-    lines, nearest first; children after it go behind, in order.
+    lines, nearest first; children after it go behind, in order.  A node of
+    leaves only is one line of them and a line per leaf.  Other leaves each
+    take a size-1 line in that order, and together join the first add-line,
+    splitting its run at most once.
     """
 
     def internal(label: int, parts: list, big: int) -> tuple[list, list]:
-        cols, rows = _leaf_runs(parts[big])
-        stars, adds = (cols, rows) if label == 0 else (rows, cols)
-        for i in chain(range(big - 1, -1, -1), range(big + 1, len(parts))):
-            part = parts[i]
-            small_first = i < big
-            if type(part) is not tuple:
-                # a one-cell diagram: a line of size 1 in stars, and in adds
-                # one more vertex on the first line
-                ones = stars[-1]
-                if ones[0] != 1:
-                    stars.append([1, deque([[part]])])
-                elif small_first:
-                    ones[1].appendleft([part])
-                else:
-                    ones[1].append([part])
-                first = adds[0]
-                if len(first[1]) > 1:  # only its first line grows: split it off
-                    first = [first[0], deque([first[1].popleft()])]
-                    adds.insert(0, first)
-                first[0] += 1
-                first[1][0].append(part)
+        acc = parts[big]
+        if type(acc) is not tuple:  # the largest child is a leaf, so every child is
+            together = [[-len(parts), deque([parts])]]
+            apart = [[-1, deque([[v] for v in parts])]]
+            return (apart, together) if label == 0 else (together, apart)
+        other = 1 - label  # part[label] is a subtree's stars, part[other] its adds
+        stars, adds = acc[label], acc[other]
+        if stars[-1][0] != -1:  # a run for the size-1 lines, dropped if unused
+            stars.append([-1, deque()])
+        singles = stars[-1][1]
+        leaves: list[int] = []
+        # two loops, not one over both sides: this is the engine's hot path
+        for part in reversed(parts[:big]):
+            if type(part) is tuple:
+                _star_lines(stars, part[label], True)
+                _add_lines(adds, part[other])
             else:
-                c_stars, c_adds = part if label == 0 else part[::-1]
-                _star_lines(stars, c_stars, small_first)
-                _add_lines(adds, c_adds)
-        return cols, rows
+                singles.appendleft([part])
+                leaves.append(part)
+        for part in parts[big + 1:]:
+            if type(part) is tuple:
+                _star_lines(stars, part[label], False)
+                _add_lines(adds, part[other])
+            else:
+                singles.append([part])
+                leaves.append(part)
+        if not singles:
+            stars.pop()
+        if leaves:
+            first = adds[0]
+            if len(first[1]) > 1:  # only its first line grows: split it off
+                first = [first[0], deque([first[1].popleft()])]
+                adds.insert(0, first)
+            first[0] -= len(leaves)
+            first[1][0] += leaves
+        return acc
 
-    cols, rows = _leaf_runs(_fold(t, lambda v: v, internal))
+    root = _fold(t, lambda v: v, internal)
+    if type(root) is not tuple:
+        return FerrersRepresentation(((root,),), t.labels)
+    cols, rows = root
     col_of = [0] * t.n
-    for j, line in enumerate(_lines(cols)):
+    for j, line in enumerate(chain.from_iterable(lines for _, lines in cols)):
         for v in line:
             col_of[v] = j
     grid = []
-    for line in _lines(rows):
+    for line in chain.from_iterable(lines for _, lines in rows):
         row = [0] * len(line)
         for v in line:
             row[col_of[v]] = v

@@ -1,10 +1,12 @@
 """Non-increasing integer sequences and the bottom-up colouring calculus.
 
 ``kappa_hat`` computes the minimum-independent-parts sequence of a cograph
-on run-length lists, merging every child's sequence into the sequence of
-the node's ``big`` child, the one with the most leaves (small-to-large), for
-O(n log n) total work.  It folds a leaf child into its sibling's run list
-in O(1), since a leaf's sequence is [1].  ``lambda_hat`` is the conjugate of
+small-to-large: each node merges its children's sequences into the one of
+its ``big`` child, the child with the most leaves, for O(n log n) total
+work.  A sequence is a list of [-value, count] runs, ascending as lists, so
+``bisect`` finds a value's run comparing in C.  A leaf costs O(1): a node of
+leaves only is built in one step, and the leaves beside a larger sibling
+join the node's sequence at once.  ``lambda_hat`` is the conjugate of
 kappa.  The plain-array traversals ``kappa_hat_naive`` and
 ``lambda_hat_naive`` are the references that the tests and benchmarks
 compare against; the latter swaps the two operators, so it checks the
@@ -180,76 +182,68 @@ def _naive_values(t: Cotree, star_label: int) -> list[int]:
     return _fold(t, lambda v: [1], internal)
 
 
-# Run-length lists are [value, count] pairs with strictly decreasing values.
-
-
-def _rle_star_into(big: list[list[int]], small: list[list[int]]) -> None:
-    """Merge small's runs into big as a multiset (binary search + insert)."""
-    for value, count in small:
-        i = bisect_left(big, -value, key=lambda r: -r[0])
-        if i < len(big) and big[i][0] == value:
-            big[i][1] += count
-        else:
-            big.insert(i, [value, count])
-
-
-def _rle_add_into(big: list[list[int]], small: list[list[int]]) -> None:
-    """Entrywise-add small into big's prefix, splitting the straddling run.
-
-    Run boundaries of either operand force a strict decrease in the sum, so
-    no coalescing is needed.
-    """
-    new: list[list[int]] = []
-    bi = 0
-    for s_value, s_count in small:
-        while s_count:
-            if bi == len(big):
-                new.append([s_value, s_count])
-                break
-            run = big[bi]
-            if s_count >= run[1]:
-                take = run[1]
-                bi += 1
-            else:
-                take = s_count
-                run[1] -= take
-            new.append([run[0] + s_value, take])
-            s_count -= take
-    big[:bi] = new
-
-
 def kappa_hat(t: Cotree) -> PartitionSequence:
     """Kappa sequence of the represented cograph; first entry is its chromatic
     number, length its clique cover number.
 
-    Folded over the cotree on run lists; each node merges its children into
-    the child with the most leaves.  A leaf's sequence is [1], so a leaf is
-    None and a leaf child is folded in O(1): it joins the run of 1s at a
-    0-node and adds 1 to the first entry at a 1-node.
+    Each node merges its children into its largest, on [-value, count] runs:
+    a binary search for [-value] and an insert per run at a 0-node, an
+    entrywise add at a 1-node, where run boundaries of either operand force
+    a strict decrease in the sum, so no runs coalesce.  A leaf is None.  A
+    node of c leaves is [1]*c or [c]; other leaves join the run of 1s at a
+    0-node, and the first entry at a 1-node, all at once.
     """
 
     def internal(label: int, parts: list, big: int) -> list[list[int]]:
-        acc = parts.pop(big) or [[1, 1]]
-        merge = _rle_star_into if label == 0 else _rle_add_into
+        acc = parts[big]
+        if acc is None:  # the largest child is a leaf, so every child is
+            return [[-1, len(parts)]] if label == 0 else [[-len(parts), 1]]
+        leaves = 0
         for part in parts:
-            if part is not None:
-                merge(acc, part)
-        leaves = parts.count(None)
+            if part is None:
+                leaves += 1
+            elif part is acc:
+                continue
+            elif label:  # add part into acc's prefix, splitting at its boundaries
+                i = 0
+                for value, count in part:
+                    while count:
+                        if i == len(acc):
+                            acc.append([value, count])
+                            i += 1
+                            break
+                        run = acc[i]
+                        i += 1
+                        if count < run[1]:
+                            run[1] -= count
+                            acc.insert(i - 1, [run[0] + value, count])
+                            break
+                        run[0] += value
+                        count -= run[1]
+            else:  # a multiset union: add up equal values' counts
+                i = 0
+                for run in part:
+                    i = bisect_left(acc, run[:1], i)
+                    if i < len(acc) and acc[i][0] == run[0]:
+                        acc[i][1] += run[1]
+                    else:
+                        acc.insert(i, run)
+        if not leaves:
+            return acc
         if label == 0:
-            if acc[-1][0] == 1:
+            if acc[-1][0] == -1:
                 acc[-1][1] += leaves
-            elif leaves:
-                acc.append([1, leaves])
-        elif leaves:
-            first = acc[0]
-            if first[1] > 1:  # only its first entry grows: split it off
-                first[1] -= 1
-                acc.insert(0, [first[0] + leaves, 1])
             else:
-                first[0] += leaves
+                acc.append([-1, leaves])
+        elif acc[0][1] > 1:  # only its first entry grows: split it off
+            acc[0][1] -= 1
+            acc.insert(0, [acc[0][0] - leaves, 1])
+        else:
+            acc[0][0] -= leaves
         return acc
 
-    return PartitionSequence.from_runs(_fold(t, lambda v: None, internal) or [[1, 1]])
+    runs = _fold(t, lambda v: None, internal) or [[-1, 1]]
+    return PartitionSequence.from_runs((-value, count) for value, count in runs)
 
 
 def lambda_hat(t: Cotree) -> PartitionSequence:

@@ -189,9 +189,12 @@ def test_check_not_colourable_emits_certificate(capsys, k3_file):
     assert payload["vertices"] == ["0", "1", "2"]
 
 
+def _check_cographs():
+    return _random_cographs(32, 6, 16) + [l_copies_of_k_clique(3, 4)]
+
+
 def test_check_and_certify_agree(capsys, tmp_path):
-    graphs = _random_cographs(32, 6, 16) + [l_copies_of_k_clique(3, 4)]
-    for i, g in enumerate(graphs):
+    for i, g in enumerate(_check_cographs()):
         path = _write_edges(tmp_path, f"g{i}.txt", g)
         for k in range(5):
             for l in range(5):
@@ -203,6 +206,28 @@ def test_check_and_certify_agree(capsys, tmp_path):
                     assert check[1] == certify[1]
                 else:
                     assert json.loads(check[1]) == {"colourable": True, "k": k, "l": l}
+
+
+def test_check_answers_a_yes_without_the_diagram(capsys, monkeypatch, tmp_path):
+    # kappa answers check; the diagram, read by certify_non_colourable, is
+    # built only for the certificate of a no
+    yes = []
+    for i, g in enumerate(_check_cographs()):
+        path = _write_edges(tmp_path, f"g{i}.txt", g)
+        for k in range(5):
+            for l in range(5):
+                argv = ("check", path, "-k", str(k), "-l", str(l))
+                code, out, _ = run(capsys, *argv)
+                if code == 0:
+                    yes.append((argv, out))
+    assert len(yes) > 20
+
+    def no_diagram(*args):
+        raise AssertionError("check built the diagram for a yes")
+
+    monkeypatch.setattr(cli, "certify_non_colourable", no_diagram)
+    for argv, out in yes:
+        assert run(capsys, *argv) == (0, out, ""), argv
 
 
 def test_certificate_edges_are_the_filtered_edge_list(capsys, tmp_path):

@@ -4,6 +4,8 @@ import pytest
 
 from klcograph import (
     BoxCertificate,
+    Cotree,
+    CotreeNode,
     KLColouring,
     build_cotree,
     build_ferrers,
@@ -13,6 +15,7 @@ from klcograph import (
     deep_alternating_cotree,
     evaluate_cotree,
     kappa_hat,
+    kappa_hat_naive,
     lambda_hat,
     random_cotree,
     read_colouring,
@@ -76,6 +79,57 @@ def test_naive_and_fast_agree_cell_for_cell():
     trees += [complement_cotree(t) for t in trees[:100]]
     for t in trees:
         assert build_ferrers_naive(t).rows == build_ferrers(t).rows
+
+
+def _spec_tree(spec) -> Cotree:
+    """Cotree(root, n) of a nested spec: an int is a leaf, (label, *children)
+    an internal node."""
+    leaves = []
+
+    def node(s):
+        if isinstance(s, int):
+            leaves.append(s)
+            return CotreeNode(vertex=s)
+        return CotreeNode(label=s[0], children=[node(c) for c in s[1:]])
+
+    root = node(spec)
+    return Cotree(root, len(leaves))
+
+
+# The engines' leaf steps, on trees where the run order shows.
+ENGINE_PATH_SPECS = (
+    # nodes whose children are all leaves: n = 1, 2, K_n and its complement,
+    # and such nodes below the root
+    0,
+    (0, 0, 1),
+    (1, 0, 1),
+    (1, 0, 1, 2, 3, 4),
+    (0, 0, 1, 2, 3, 4),
+    (0, (1, 0, 1, 2), (1, 3, 4), 5),
+    # leaf children on both sides of the largest child, beside siblings that
+    # have size-1 columns themselves: every size-1 column of the root ties
+    # in the one run, in child order
+    (0, 0, (1, (0, 1, 2, 3), 4), 5, (1, (0, 6, 7, 8, 9, 10), 11), 12,
+     (1, (0, 13, 14), 15), 16),
+    # the same with the largest child first, and last
+    (0, (1, (0, 0, 1, 2, 3, 4), 5), 6, (1, (0, 7, 8), 9), 10),
+    (0, 0, (1, (0, 1, 2), 3), 4, (1, (0, 5, 6, 7, 8), 9)),
+    # a 1-node whose leaves join a first run of count 3: kappa [2,2,2]
+    # becomes [4,2,2], and the first of three equal columns grows
+    (1, (0, (1, 0, 1), (1, 2, 3), (1, 4, 5)), 6, 7),
+    (1, 6, (0, (1, 0, 1), (1, 2, 3), (1, 4, 5)), (0, 7, 8), 9),
+)
+
+
+def test_engine_leaf_steps_match_the_references():
+    for spec in ENGINE_PATH_SPECS:
+        t = _spec_tree(spec)
+        # the complement swaps every label, so each step runs under both
+        for tree in (t, complement_cotree(t)):
+            assert kappa_hat(tree) == kappa_hat_naive(tree), spec
+            f = build_ferrers(tree)
+            assert f.rows == build_ferrers_naive(tree).rows, spec
+            assert validate_ferrers_against_cotree(tree, f), spec
 
 
 def test_validators_accept_built_representations():
