@@ -133,3 +133,29 @@ def test_one_walk_writes_the_sizes():
                     and (name, where) not in SIZERS
                 ]
     assert not found, "size or big written outside Cotree.root: " + ", ".join(found)
+
+
+# The oracle is the reference that the cotree engines are checked against:
+# it may use the graph type, and the sequence type with its argument check,
+# but nothing that computes an answer from a cotree.
+ORACLE_IMPORTS = {"graphs": None, "sequences": {"PartitionSequence", "_check_natural"}}
+
+
+def test_oracle_imports_only_the_reference_layer():
+    found = []
+    for node in ast.walk(dict(_sources())["oracle.py"]):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "klcograph"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "klcograph":
+                    continue  # the standard library
+                module = module.removeprefix("klcograph").lstrip(".")
+            allowed = ORACLE_IMPORTS.get(module, set())
+            found += [
+                f"{module}.{a.name}"
+                for a in node.names
+                if allowed is not None and a.name not in allowed
+            ]
+    assert not found, "oracle.py imports beyond graphs and the sequence type: " + ", ".join(found)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,58 @@ def test_lambda_oracle_matches_exhaustive_partition_search():
             assert least == (entries[k] if k < len(entries) else 0)
 
 
+def _brute_maximal_cliques(adj, mask):
+    """Every subset of ``mask`` through its lowest vertex that is a clique
+    of the masks ``adj`` and has no common neighbour left in ``mask``."""
+    low = mask & -mask
+    others = mask & ~low
+    rest = [1 << v for v in range(others.bit_length()) if others >> v & 1]
+    found = []
+    for pick in range(1 << len(rest)):
+        s = low | sum(bit for i, bit in enumerate(rest) if pick >> i & 1)
+        members = [v for v in range(s.bit_length()) if s >> v & 1]
+        if all(s & ~(1 << v) & ~adj[v] == 0 for v in members):
+            common = mask & ~s
+            for v in members:
+                common &= adj[v]
+            if common == 0:
+                found.append(s)
+    return found
+
+
+def test_maximal_cliques_match_brute_force():
+    # every mask of each graph, and of its complement: the cliques and the
+    # independent sets that the engine branches on
+    rng = random.Random(27)
+    graphs = [random_graph(rng.randint(1, 8), rng.random(), rng) for _ in range(24)]
+    graphs += [empty_graph(8), complete_graph(8), cycle_graph(7)]
+    for g in graphs:
+        eng = oracle._engines(g, oracle.DEFAULT_BUDGET)[0]
+        for side in (eng.adj, eng.co):
+            for mask in range(1, 1 << g.n):
+                got = oracle._maximal_cliques(side, mask)
+                assert len(set(got)) == len(got), (list(g.edges()), mask)
+                assert sorted(got) == sorted(_brute_maximal_cliques(side, mask)), (list(g.edges()), mask)
+
+
+def test_oracle_at_the_sizes_the_cli_serves():
+    # the CLI runs the oracle up to its default budget of 12 vertices
+    rng = random.Random(28)
+    densities = [i / 10 for i in range(1, 10)]
+    for n in range(9, 13):
+        for p in densities + densities:
+            g = random_graph(n, p, rng)
+            assert conjugate(kappa_hat_oracle(g)) == lambda_hat_oracle(g)
+    # and the second route at its limit of 8 vertices: entry k is the least l
+    for p in densities:
+        g = random_graph(8, p, rng)
+        entries = lambda_hat_oracle(g).entries
+        for k in range(len(entries) + 1):
+            least = entries[k] if k < len(entries) else 0
+            assert is_kl_colourable_exhaustive(g, k, least)
+            assert least == 0 or not is_kl_colourable_exhaustive(g, k, least - 1)
+
+
 def test_colourability_routes_agree():
     rng = random.Random(22)
     for _ in range(60):
@@ -109,6 +162,21 @@ def test_budget_enforced():
     assert chromatic_number_exact(empty_graph(13), budget) == 1
     assert kappa_hat_oracle(empty_graph(13), budget) == PartitionSequence.constant(1, 13)
     assert lambda_hat_oracle(complete_graph(13), budget) == PartitionSequence.constant(1, 13)
+
+
+def test_exhaustive_search_allocates_at_most_n_parts():
+    # at most n parts are non-empty, so a huge k or l needs no more slots
+    g = cycle_graph(5)
+    tracemalloc.start()
+    try:
+        assert is_kl_colourable_exhaustive(g, 10**7, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert is_kl_colourable_exhaustive(g, 10**7, 0)
+    assert not is_kl_colourable_exhaustive(g, 2, 0)
+    assert is_kl_colourable_exhaustive(g, 0, 10**7)
 
 
 def test_negative_parameters_raise_value_error():
