@@ -7,9 +7,9 @@ reported in user coordinates.
 
 from __future__ import annotations
 
-import operator
+import json
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterable, Iterator
 
 VertexSet = frozenset[int]
@@ -17,8 +17,8 @@ VertexSet = frozenset[int]
 # Largest vertex count an edge list may declare or imply.  Each vertex costs a
 # slot in the adjacency tuple, so one edge "0 100000000" would otherwise
 # allocate 10^8 of them.  Only a vertex in an edge gets a set of its own, so
-# a header declaring 2^20 isolated vertices parses in ~0.03 s and 16 MB, where
-# a set per vertex took 2-4 s and ~450 MB; recognizing them takes ~5 s
+# a header declaring 2^20 isolated vertices parses in ~0.01 s and 16 MB, where
+# a set per vertex took 2-4 s and ~450 MB; recognizing them takes ~4.3 s
 # (Python 3.11, 2-core VM).
 MAX_VERTICES = 2**20
 
@@ -125,47 +125,117 @@ def parse_edge_list(text: str) -> Graph:
     Blank lines and lines starting with '#' are ignored.  A vertex count
     above ``MAX_VERTICES``, declared or implied by a vertex id, is an error.
 
-    A regular list is decoded in bulk: one token on the first non-blank line
-    or two, two on every other, and every token a valid vertex id.  Anything
-    else, a comment included ('#' is in no id), goes through the line loop,
-    the only code that raises ``GraphFormatError``, so an error still names
-    the first bad line.
+    A regular list is decoded in bulk: an optional one-id first line, then
+    two ids a line, every id a valid vertex id.  Its layout is checked once
+    on the separators of its bytes, and its ids are read by one C call.  A
+    list with blank lines, other white space or ids in another form that
+    ``int`` reads ("+1", "1_0") is put in that layout first.  Anything else,
+    a comment included ('#' is in no id), goes through the line loop, the
+    only code that raises ``GraphFormatError``, so an error still names the
+    first bad line.
     """
     g = _bulk_edge_list(text)
     return g if g is not None else _edge_list_by_line(text)
 
 
-def _bulk_edge_list(text: str) -> Graph | None:
-    """The graph of a regular edge list, or None for the line loop to decide."""
-    # tokens per line; the first non-blank line is a header if it has one
-    counts = list(map(len, map(str.split, text.splitlines())))
-    header = 1 if next(filter(None, counts), 0) == 1 else 0
-    if counts.count(2) != len(counts) - counts.count(0) - header:
+# Separators of the regular layout, each made a comma for ``json.loads``.
+_COMMAS = bytes.maketrans(b" \n", b",,")
+
+# ASCII white space as str.splitlines and str.split see it: each line break
+# made "\n", each other space " ".
+_SPACING = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f", b"\n\n\n\n\n\n  ")
+
+
+def _regular_ids(data: bytes) -> tuple[int, list[int]] | None:
+    """(1 if a header line, else 0; every id in order) of a list in the
+    regular layout, or None.
+
+    The layout is decimal ids, one space between the two ids of a line, and
+    one "\n" between lines and at most one after the last.  What is left of
+    the bytes once the digits are deleted must then be an optional "\n", the
+    header's, and " \n" repeated.  ``json.loads`` reads the ids in one call,
+    with each separator made a comma.  It rejects a leading zero ("007"),
+    and then ``int`` reads the ids of the split bytes.
+    """
+    body = data.removesuffix(b"\n")
+    gaps = body.translate(None, b"0123456789") + b"\n"
+    header = int(gaps[:1] == b"\n")
+    if gaps[header:] != b" \n" * ((len(gaps) - header) // 2):
         return None
-    tokens = text.split()
     try:
-        # int() once per distinct token: an id repeats once per incident edge
-        value = {token: int(token) for token in set(tokens)}
-    except ValueError:
-        return None
-    if not value or min(value.values()) < 0:
-        return None
-    ids = list(map(value.__getitem__, tokens))
-    del tokens  # the ids share the dict's ints; the strings can go
-    us, vs = ids[header::2], ids[header + 1 :: 2]
-    top = max(max(us, default=-1), max(vs, default=-1))
+        ids = json.loads(b"[" + body.translate(_COMMAS) + b"]")
+    except ValueError:  # a leading zero, which int() reads, or an empty id
+        try:
+            ids = list(map(int, body.split()))
+        except ValueError:  # an id past int()'s digit limit
+            return None
+    # split() drops an empty id, so there is then one id fewer than gaps
+    return (header, ids) if len(ids) == len(gaps) else None
+
+
+def _regular_spacing(data: bytes) -> bytes:
+    """ASCII edge-list bytes with one space between the tokens of a line and
+    one "\n" between nonblank lines: CRLF, tabs and blank lines in C passes,
+    not a pass over the lines."""
+    data = data.translate(_SPACING)
+    for run, one in ((b"  ", b" "), (b" \n", b"\n"), (b"\n ", b"\n"), (b"\n\n", b"\n")):
+        while run in data:
+            data = data.replace(run, one)
+    return data.strip(b" \n")
+
+
+def _regular_tokens(text: str) -> bytes:
+    """The edge list with one space between the tokens of a line, one "\n"
+    between nonblank lines, and each token as ``int`` reads it, such as "1"
+    for "+1", "10" for "1_0" or a non-ASCII digit's value.
+
+    One pass over the lines, and ``int`` once per distinct token; raises
+    ``ValueError`` at a token that is no integer.
+    """
+    canonical = {token: str(int(token)) for token in set(text.split())}
+    get = canonical.__getitem__
+    lines = [" ".join(map(get, line)) for line in map(str.split, text.splitlines()) if line]
+    return "\n".join(lines).encode()
+
+
+def _bulk_edge_list(text: str) -> Graph | None:
+    """The graph of a regular edge list, or None for the line loop to decide.
+
+    A text in the regular layout is decoded as it is.  Otherwise it is put in
+    that layout and decoded by the same ``_regular_ids``: an ASCII text's
+    white space by ``_regular_spacing``, then, if that is not enough, every
+    token by ``_regular_tokens``.  The ids are checked as the line loop
+    checks them (range, ``MAX_VERTICES``, self-loops); nothing here raises.
+    """
+    decoded = None
+    if text.isascii():
+        data = text.encode()
+        decoded = _regular_ids(data) or _regular_ids(_regular_spacing(data))
+    if decoded is None:
+        try:
+            decoded = _regular_ids(_regular_tokens(text))
+        except ValueError:  # a token that is no integer
+            return None
+        if decoded is None:
+            return None
+    header, ids = decoded
+    ends = set(islice(ids, header, None))  # the vertices in an edge
+    top = max(ends, default=-1)
     n = ids[0] if header else top + 1
-    if top >= n or n > MAX_VERTICES or any(map(operator.eq, us, vs)):
+    if top >= n or n > MAX_VERTICES:
         return None
-    # a set for each id in an edge; the header's value n is in no edge
     nbrs: list = [_NO_NEIGHBOURS] * n
-    for x in value.values():
-        if x < n:
-            nbrs[x] = set()
-    for u, v in zip(us, vs):
+    for x in ends:
+        nbrs[x] = set()
+    pairs = islice(ids, header, None)
+    for u, v in zip(pairs, pairs):
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph._trusted(n, tuple(map(frozenset, nbrs)))
+    if any(x in nbrs[x] for x in ends):  # a self-loop
+        return None
+    for x in ends:  # each set is freed as soon as it is frozen
+        nbrs[x] = frozenset(nbrs[x])
+    return Graph._trusted(n, tuple(nbrs))
 
 
 def _edge_list_by_line(text: str) -> Graph:
@@ -212,8 +282,15 @@ def _edge_list_by_line(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# The six bits of a graph6 byte value 0..63, most significant first, as 0/1 bytes.
-_G6_BITS = tuple(bytes((v >> s) & 1 for s in range(5, -1, -1)) for v in range(64))
+# The bytes graph6 may hold, 63..126, each one group of six bits.
+_G6_BYTES = bytes(range(63, 127))
+
+# The six bits of each graph6 byte, most significant first, as 0/1 bytes,
+# indexed by the raw byte; the bytes outside 63..126 are rejected first.
+_G6_BITS = tuple(
+    bytes(((b - 63) >> s) & 1 for s in range(5, -1, -1)) if b in _G6_BYTES else b""
+    for b in range(256)
+)
 
 
 def _graph6_read_n(data: bytes) -> tuple[int, bytes]:
@@ -250,9 +327,9 @@ def parse_graph6(text: str) -> Graph:
     if not s.isascii():
         raise GraphFormatError("graph6 input contains a non-ASCII character")
     data = s.encode("ascii")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise GraphFormatError(f"graph6 byte {b} outside printable range 63..126")
+    if data.translate(None, _G6_BYTES):
+        bad = next(b for b in data if b not in _G6_BYTES)
+        raise GraphFormatError(f"graph6 byte {bad} outside printable range 63..126")
     n, rest = _graph6_read_n(data)
     nbits = n * (n - 1) // 2
     if len(rest) != (nbits + 5) // 6:
@@ -261,7 +338,7 @@ def parse_graph6(text: str) -> Graph:
         )
     # column j is the j pairs (0, j) .. (j-1, j); the padding bits past the
     # last column are never read
-    bits = b"".join([_G6_BITS[b - 63] for b in rest])
+    bits = b"".join(map(_G6_BITS.__getitem__, rest))
     nbrs: list[set[int]] = []
     start = 0
     for j in range(n):

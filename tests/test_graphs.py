@@ -18,6 +18,8 @@ from klcograph import (
 from klcograph.graphs import (
     _bulk_edge_list,
     _edge_list_by_line,
+    _regular_ids,
+    _regular_spacing,
     is_clique,
     is_independent_set,
 )
@@ -129,6 +131,64 @@ def test_regular_edge_lists_take_the_bulk_path(text):
     assert g is not None and g == _edge_list_by_line(text)
 
 
+def _listed(g, header=True):
+    """g as an edge list, each edge once as "u v" with u < v, optionally
+    after a line declaring n, with a trailing newline."""
+    return "\n".join([str(g.n)] * header + [f"{u} {v}" for u, v in g.edges()]) + "\n"
+
+
+LARGE = random_graph(540, 0.5, random.Random(540))  # m ~ 73k, as graph-query's largest
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _listed(LARGE),
+        _listed(LARGE).replace("\n", "\r\n"),
+        _listed(LARGE).replace(" ", "\t"),
+        _listed(LARGE).replace("\n", "\n\n"),
+        "5\n",
+        "3\n0 1\n1 2",
+        _listed(path_graph(4), header=False).rstrip("\n"),
+        "00 1",
+        "0 01",
+        "+1 2\n1_0 \u0663\n",
+        "0\u30001\u20282 3",
+    ],
+    ids=["n540", "n540-crlf", "n540-tab", "n540-blank", "header-only",
+         "no-final-newline", "no-header-no-final-newline", "leading-zero-u",
+         "leading-zero-v", "int-forms", "non-ascii-space"],
+)
+def test_regular_layouts_decode_in_bulk(text):
+    g = _bulk_edge_list(text)
+    assert g is not None and g == _edge_list_by_line(text)
+
+
+@pytest.mark.parametrize(
+    "text, regular",
+    [
+        (_listed(LARGE).replace("\n", "\r\n"), _listed(LARGE)),
+        (_listed(LARGE).replace(" ", "\t"), _listed(LARGE)),
+        (_listed(LARGE).replace("\n", "\n\n"), _listed(LARGE)),
+        (" 3 \x0b\x0c 0\x1f\t 1  \r\r\n1    2\x1c\x1d\x1e", "3\n0 1\n1 2"),
+    ],
+    ids=["n540-crlf", "n540-tab", "n540-blank", "every-ascii-space"],
+)
+def test_ascii_white_space_is_collapsed_without_a_pass_over_the_lines(text, regular):
+    # the C passes of _regular_spacing, not _regular_tokens, put these in
+    # the regular layout
+    assert _regular_spacing(text.encode()) == regular.rstrip("\n").encode()
+
+
+def test_the_decode_reads_leading_zeros_and_counts_empty_ids():
+    # json.loads rejects "00" and "02"; int() reads them from the same bytes
+    assert _regular_ids(b"3\n00 1\n0 02\n") == (1, [3, 0, 1, 0, 2])
+    # the separators fit the layout, but the first id is empty: read as a
+    # header, "5" would leave an edge "2 3" and a stray "3"
+    assert _regular_ids(b"\n5 1\n2 3") is None
+    assert _regular_ids(b"") is None
+
+
 # Edge-list lines: regular edges, and lines the bulk path must leave to the
 # line loop or read the same way: every malformed kind of
 # test_parse_edge_list_rejects_malformed, comments, blank and whitespace-only
@@ -141,7 +201,7 @@ EDGE_LINES = (
 ODD_LINES = st.sampled_from(
     ("0 1 2", "a b", "0 0", "1 -2", "0 100000000", "100000000", "-3", "x",
      "", "   ", "\t", "# comment", "  # indented", "0 1 # trailing",
-     "0\t1", " 3  4 ", "+1 2", "1_0 3", "\u0663 1")
+     "0\t1", " 3  4 ", "+1 2", "1_0 3", "\u0663 1", "00 1", "0 01", "0  1")
 )
 
 
@@ -214,6 +274,17 @@ def test_parse_graph6_rejects_bad_bytes():
     # check before anything of that size is allocated
     with pytest.raises(GraphFormatError, match="body has 1 bytes, .* n=1073741824"):
         parse_graph6("~~@??????")
+
+
+def test_parse_graph6_names_the_first_bad_byte_deep_in_the_body():
+    text = encode_graph6(random_graph(400, 0.5, random.Random(6)))
+    assert len(text) > 12_000
+    text = text[:10_000] + "!" + text[10_001:12_000] + "\x7f" + text[12_001:]
+    with pytest.raises(GraphFormatError) as caught:
+        parse_graph6(text)
+    assert str(caught.value) == "graph6 byte 33 outside printable range 63..126"
+    with pytest.raises(GraphFormatError, match="^graph6 byte 127 outside"):
+        parse_graph6(text.replace("!", "?"))
 
 
 def test_parse_graph6_optional_header():

@@ -85,6 +85,26 @@ def test_one_answer_path_through_the_cli():
     assert not exits, "SystemExit raised in a function: " + ", ".join(exits)
 
 
+# The definitions in graphs.py that may raise GraphFormatError: the edge-list
+# line loop, which names the first bad line, and the graph6 reader.  The bulk
+# edge-list decoder returns None and leaves every error to the line loop.
+FORMAT_ERRORS = {"_edge_list_by_line", "parse_graph6", "_graph6_read_n"}
+
+
+def test_only_the_line_loop_and_graph6_raise_format_errors():
+    found = []
+    for top in dict(_sources())["graphs.py"].body:
+        where = getattr(top, "name", "module level")
+        if where in FORMAT_ERRORS:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "GraphFormatError":
+                    found.append(f"graphs.py:{node.lineno} in {where}")
+    assert not found, "GraphFormatError raised elsewhere: " + ", ".join(found)
+
+
 def test_one_bottom_up_walk():
     # every bottom-up walk goes through cotree._fold over the lists; a walk
     # over a tree of nodes would bring a second walk, and node-keyed dicts,
