@@ -122,7 +122,7 @@ def _cmd_sequence(args: argparse.Namespace, g: Graph, oracle, engine) -> str:
 
 
 def cmd_check(args: argparse.Namespace, g: Graph) -> str:
-    # kappa answers; the diagram is built only for the certificate of a no
+    # kappa answers; certify runs only for the certificate of a no
     if g.n and not is_kl_colourable(kappa_hat(t := _need_cotree(g)), args.k, args.l):
         _colouring(args, g, t)  # raises _Negative
     return json.dumps({"colourable": True, "k": args.k, "l": args.l})

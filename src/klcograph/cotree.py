@@ -224,6 +224,39 @@ def _fold(t: Cotree, leaf, internal):
     return stack[0]
 
 
+def _descend(t: Cotree, kept: list, demand, leaf, internal) -> None:
+    """The top-down mirror of ``_fold``: the root gets ``demand``, and
+    ``internal(label, values, big, demand)`` at an internal node returns its
+    children's demands in child order, where ``values`` are the children's
+    results that a fold's ``internal`` appended to ``kept``, one flat list,
+    in postorder; ``leaf(demand, vertex)`` at a leaf.  A None demand skips a
+    subtree: none of its nodes gets a call.
+
+    The lists are walked backwards, which meets each node before its
+    children and the children right to left, so the internal nodes come in
+    the reverse of the order ``kept`` was appended in, and each takes its
+    ``count`` values off the end, which frees them as the walk goes.  A
+    node's children's demands wait on a stack, the last child's on top.
+    While a subtree is skipped, ``skip`` counts its nodes not yet passed
+    whose parent has been."""
+    stack = [demand]
+    pop, push = stack.pop, stack.extend
+    skip = 0
+    for code, count, big in zip(reversed(t.codes), reversed(t.counts), reversed(t.bigs)):
+        if skip:
+            skip += count - 1
+        else:
+            d = pop()
+            if d is None:  # a leaf's count is 0, so nothing is skipped
+                skip = count
+            elif code >= 0:
+                leaf(d, code)
+            else:
+                push(internal(~code, kept[-count:], big, d))
+        if count:
+            del kept[-count:]
+
+
 # One search serves the graph and its complement.  It pops the frontier one
 # vertex at a time, which shrinks the set of vertices not yet reached as it
 # goes.  Once the frontier holds four times as many vertices as that set, each

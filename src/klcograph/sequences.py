@@ -3,10 +3,14 @@
 ``kappa_hat`` computes the minimum-independent-parts sequence of a cograph
 small-to-large: each node merges its children's sequences into the one of
 its ``big`` child, the child with the most leaves, for O(n log n) total
-work.  A sequence is a list of [-value, count] runs, ascending as lists, so
-``bisect`` finds a value's run comparing in C.  A leaf costs O(1): a node of
-leaves only is built in one step, and the leaves beside a larger sibling
-join the node's sequence at once.  ``lambda_hat`` is the conjugate of
+work.  A sequence is a list of runs, each packed into one int,
+``-value * (n + 1) + count``, so a list is ascending and ``bisect`` finds a
+value's run comparing ints; no run is a container for the garbage collector
+to track.  A leaf costs O(1): a node of leaves only is built in one step,
+and the leaves beside a larger sibling join the node's sequence at once.
+The per-node rule is ``_kappa_rule``, which the certificate module folds
+too: it changes only the big child's list, so every other child's list is
+still that child's kappa after the fold.  ``lambda_hat`` is the conjugate of
 kappa.  The plain-array traversals ``kappa_hat_naive`` and
 ``lambda_hat_naive`` are the references that the tests and benchmarks
 compare against; the latter swaps the two operators, so it checks the
@@ -182,22 +186,26 @@ def _naive_values(t: Cotree, star_label: int) -> list[int]:
     return _fold(t, lambda v: [1], internal)
 
 
-def kappa_hat(t: Cotree) -> PartitionSequence:
-    """Kappa sequence of the represented cograph; first entry is its chromatic
-    number, length its clique cover number.
+def _kappa_rule(n: int):
+    """``kappa_hat``'s per-node rule for ``_fold`` on a tree of n leaves.
 
-    Each node merges its children into its largest, on [-value, count] runs:
-    a binary search for [-value] and an insert per run at a 0-node, an
-    entrywise add at a 1-node, where run boundaries of either operand force
-    a strict decrease in the sum, so no runs coalesce.  A leaf is None.  A
-    node of c leaves is [1]*c or [c]; other leaves join the run of 1s at a
-    0-node, and the first entry at a 1-node, all at once.
+    A leaf is None.  A node's runs are packed ints, ``-value * (n + 1) +
+    count``, ascending, so ``bisect`` finds a value's run comparing ints.  Each
+    node merges its children into its largest child's list, ``acc``: a binary
+    search for the value and an insert per run at a 0-node, an entrywise add
+    at a 1-node, where run boundaries of either operand force a strict
+    decrease in the sum, so no runs coalesce.  A node of c leaves is [1]*c or
+    [c]; other leaves join the run of 1s at a 0-node, and the first entry at
+    a 1-node, all at once.  Only ``acc`` changes: every other child's list is
+    left as its kappa.
     """
+    m = n + 1
+    ones = -m  # every run of 1s is above it, every other run below
 
-    def internal(label: int, parts: list, big: int) -> list[list[int]]:
+    def internal(label: int, parts: list, big: int) -> list[int]:
         acc = parts[big]
         if acc is None:  # the largest child is a leaf, so every child is
-            return [[-1, len(parts)]] if label == 0 else [[-len(parts), 1]]
+            return [len(parts) - m] if label == 0 else [1 - len(parts) * m]
         leaves = 0
         for part in parts:
             if part is None:
@@ -206,44 +214,90 @@ def kappa_hat(t: Cotree) -> PartitionSequence:
                 continue
             elif label:  # add part into acc's prefix, splitting at its boundaries
                 i = 0
-                for value, count in part:
+                for run in part:
+                    count = run % m
+                    value = run - count  # -value * m
                     while count:
                         if i == len(acc):
-                            acc.append([value, count])
+                            acc.append(value + count)
                             i += 1
                             break
-                        run = acc[i]
-                        i += 1
-                        if count < run[1]:
-                            run[1] -= count
-                            acc.insert(i - 1, [run[0] + value, count])
+                        old = acc[i]
+                        have = old % m
+                        if count < have:
+                            acc[i] = old - count
+                            acc.insert(i, old - have + value + count)
+                            i += 1
                             break
-                        run[0] += value
-                        count -= run[1]
+                        acc[i] = old + value
+                        i += 1
+                        count -= have
             else:  # a multiset union: add up equal values' counts
                 i = 0
                 for run in part:
-                    i = bisect_left(acc, run[:1], i)
-                    if i < len(acc) and acc[i][0] == run[0]:
-                        acc[i][1] += run[1]
+                    count = run % m
+                    i = bisect_left(acc, run - count, i)
+                    if i < len(acc) and acc[i] - run + count < m:
+                        acc[i] += count
                     else:
                         acc.insert(i, run)
         if not leaves:
             return acc
         if label == 0:
-            if acc[-1][0] == -1:
-                acc[-1][1] += leaves
+            if acc[-1] > ones:  # a run of 1s
+                acc[-1] += leaves
             else:
-                acc.append([-1, leaves])
-        elif acc[0][1] > 1:  # only its first entry grows: split it off
-            acc[0][1] -= 1
-            acc.insert(0, [acc[0][0] - leaves, 1])
+                acc.append(leaves + ones)
         else:
-            acc[0][0] -= leaves
+            first = acc[0]
+            if first % m == 1:
+                acc[0] = first - leaves * m
+            else:  # only its first entry grows: split it off
+                acc[0] = first - 1
+                acc.insert(0, first - first % m - leaves * m + 1)
         return acc
 
-    runs = _fold(t, lambda v: None, internal) or [[-1, 1]]
-    return PartitionSequence.from_runs((-value, count) for value, count in runs)
+    return internal
+
+
+def _leaf(v: int) -> None:
+    return None
+
+
+def _kappa_entry(runs: list[int] | None, j: int, n: int) -> int:
+    """Entry j of the kappa that ``_kappa_rule(n)`` left as ``runs`` (None
+    at a leaf), 0 beyond its length."""
+    if runs is None:
+        return 0 if j else 1
+    m = n + 1
+    for run in runs:
+        count = run % m
+        if j < count:
+            return -(run // m)
+        j -= count
+    return 0
+
+
+def _kappa_above(runs: list[int] | None, k: int, n: int) -> int:
+    """How many entries of the kappa that ``_kappa_rule(n)`` left as ``runs``
+    (None at a leaf) exceed k."""
+    if runs is None:
+        return 0 if k else 1
+    m = n + 1
+    total = 0
+    for run in runs:
+        if run >= -k * m:  # value <= k, and so are the runs after it
+            break
+        total += run % m
+    return total
+
+
+def kappa_hat(t: Cotree) -> PartitionSequence:
+    """Kappa sequence of the represented cograph; first entry is its chromatic
+    number, length its clique cover number.  One fold of ``_kappa_rule``."""
+    m = t.n + 1
+    runs = _fold(t, _leaf, _kappa_rule(t.n)) or [1 - m]
+    return PartitionSequence.from_runs((-(run // m), run % m) for run in runs)
 
 
 def lambda_hat(t: Cotree) -> PartitionSequence:

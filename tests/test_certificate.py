@@ -1,5 +1,6 @@
 import random
 
+from hypothesis import given, seed, settings
 import pytest
 
 from klcograph import (
@@ -10,9 +11,13 @@ from klcograph import (
     build_cotree,
     build_ferrers,
     certify_non_colourable,
+    complement_cotree,
+    cotree_from_text,
+    deep_alternating_cotree,
     evaluate_cotree,
     induced_subgraph,
     is_kl_colourable,
+    is_kl_colourable_oracle,
     kappa_at,
     kappa_hat,
     kappa_hat_oracle,
@@ -23,7 +28,7 @@ from klcograph import (
 )
 from klcograph.sequences import PartitionSequence
 
-from helpers import complete_graph, l_copies_of_k_clique
+from helpers import complete_graph, cotrees, l_copies_of_k_clique
 
 
 def test_certificate_size_enforced():
@@ -150,3 +155,105 @@ def test_constant_kappa_marks_box_cographs_at_small_n():
                 assert dim == (kh[0], len(kh))
             else:
                 assert not constant
+
+
+# --- the descent: certify_non_colourable without the Ferrers diagram --------
+
+
+def _check_answer(t, g, kappa, k, l):
+    """certify's answer at (k, l) agrees with kappa and its witness holds in g."""
+    result = certify_non_colourable(t, k, l)
+    if is_kl_colourable(kappa, k, l):
+        assert isinstance(result, KLColouring), (k, l)
+        assert validate_colouring(g, result, k, l), (k, l)
+    else:
+        assert isinstance(result, BoxCertificate), (k, l)
+        assert (result.k, result.l) == (k + 1, l + 1)
+        assert len(result.vertices) == (k + 1) * (l + 1)
+        assert verify_box_cograph(g, result), (k, l)
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None, database=None)
+@given(cotrees())
+def test_descent_answers_every_small_query_on_a_tree_and_its_complement(t):
+    for tree in (t, complement_cotree(t)):
+        g, kappa = evaluate_cotree(tree), kappa_hat(tree)
+        for k in range(5):
+            for l in range(5):
+                _check_answer(tree, g, kappa, k, l)
+
+
+def test_descent_on_both_sides_of_every_staircase_corner():
+    # at a corner, column l of height h = kappa_l is followed by a lower
+    # one: (h - 1, l) needs the largest h x (l+1) box, while (h, l) and
+    # (h - 1, l + 1) are colourable
+    rng = random.Random(35)
+    sizes = [1, 2, 3, 7, 30, 64, 100, 150, 200, 250, 300]
+    for n in sizes:
+        t = random_cotree(n, rng, max_children=rng.choice((2, 4, 8)))
+        g, kappa = evaluate_cotree(t), kappa_hat(t)
+        for l, h in enumerate(kappa):
+            if kappa_at(kappa, l + 1) < h:
+                for k, at in ((h - 1, l), (h, l), (h - 1, l + 1)):
+                    _check_answer(t, g, kappa, k, at)
+
+
+def test_descent_on_deep_trees_with_no_independent_part_or_no_clique():
+    for n in list(range(1, 13)) + [33, 64]:
+        for top in (0, 1):
+            t = deep_alternating_cotree(n, top)
+            g, kappa = evaluate_cotree(t), kappa_hat(t)
+            for l in range(len(kappa) + 2):
+                _check_answer(t, g, kappa, 0, l)
+            for k in range(kappa[0] + 2):
+                _check_answer(t, g, kappa, k, 0)
+
+
+def test_descent_on_a_single_vertex():
+    t = cotree_from_text("0")
+    g = evaluate_cotree(t)
+    for k in range(3):
+        for l in range(3):
+            _check_answer(t, g, kappa_hat(t), k, l)
+    assert certify_non_colourable(t, 0, 0).vertices == frozenset({0})
+    assert certify_non_colourable(t, 1, 0) == KLColouring((frozenset({0}),), ())
+    assert certify_non_colourable(t, 0, 1) == KLColouring((), (frozenset({0}),))
+
+
+def test_descent_at_depth_without_recursion():
+    # deeper than the interpreter's recursion limit; the graph has ~n^2/4
+    # edges, so the answers are checked by their counts only
+    n = 10**5
+    for top in (0, 1):
+        t = deep_alternating_cotree(n, top)
+        kappa = kappa_hat(t)
+        l = len(kappa) // 2
+        k = kappa[l]
+        yes = certify_non_colourable(t, k, l)
+        assert isinstance(yes, KLColouring)
+        assert len(yes.independent_parts) <= k and len(yes.clique_parts) <= l
+        parts = yes.parts()
+        assert sum(map(len, parts)) == n and frozenset().union(*parts) == set(range(n))
+        no = certify_non_colourable(t, k - 1, l)
+        assert isinstance(no, BoxCertificate)
+        assert len(no.vertices) == k * (l + 1)
+
+
+def test_boxes_are_vertex_minimal_per_the_oracle():
+    # without any one vertex, what is left of a box is (k,l)-colourable,
+    # decided by the exact oracle, not by the cotree engines
+    rng = random.Random(36)
+    checked = 0
+    for _ in range(40):
+        t = random_cotree(rng.randint(1, 10), rng)
+        g = evaluate_cotree(t)
+        for k in range(4):
+            for l in range(4):
+                cert = certify_non_colourable(t, k, l)
+                if isinstance(cert, BoxCertificate):
+                    for x in cert.vertices:
+                        rest = induced_subgraph(g, cert.vertices - {x})
+                        assert is_kl_colourable_oracle(rest, k, l), (k, l, x)
+                    checked += 1
+    assert checked >= 50

@@ -209,8 +209,8 @@ def test_check_and_certify_agree(capsys, tmp_path):
 
 
 def test_check_answers_a_yes_without_the_diagram(capsys, monkeypatch, tmp_path):
-    # kappa answers check; the diagram, read by certify_non_colourable, is
-    # built only for the certificate of a no
+    # kappa answers check; certify_non_colourable, which folds kappa again
+    # and descends to the box, runs only for the certificate of a no
     yes = []
     for i, g in enumerate(_check_cographs()):
         path = _write_edges(tmp_path, f"g{i}.txt", g)

@@ -131,6 +131,18 @@ def test_node_layout_stays_in_the_cotree_module():
     assert not found, "cotree layout read outside cotree.py: " + ", ".join(found)
 
 
+def test_certify_builds_no_ferrers_diagram():
+    # certify answers from one kappa fold and one descent; a call of the
+    # diagram's builder or of its colouring reader would bring it back
+    found = [
+        f"{where} {callee}"
+        for callee in ("build_ferrers", "read_colouring")
+        for where in _calls(callee, set())
+        if where.startswith("certificate.py:")
+    ]
+    assert not found, "the Ferrers diagram in certificate.py: " + ", ".join(found)
+
+
 # The definitions that may write a node's size and big: the node's own
 # __init__, and the view that builds the nodes from the lists.
 SIZERS = {("cotree.py", "CotreeNode.__init__"), ("cotree.py", "Cotree.root")}

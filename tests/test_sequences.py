@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klcograph import (
+    Cotree,
+    CotreeNode,
     KLColouring,
     PartitionSequence,
     bichromatic_number,
@@ -15,6 +17,7 @@ from klcograph import (
     complement_cotree,
     conjugate,
     cotree_from_text,
+    cotree_to_text,
     deep_alternating_cotree,
     entrywise_add,
     evaluate_cotree,
@@ -163,6 +166,41 @@ def test_naive_and_fast_agree_with_conjugate_duality():
         assert ln == lf
         assert conjugate(kn) == ln
         assert kn.total == t.n
+
+
+def test_packed_runs_on_the_smallest_trees():
+    # a run is one int, -value * (n + 1) + count: at n = 1 the modulus is 2,
+    # and a node of leaves only is built in one step
+    trees = [cotree_from_text("0")]
+    for c in range(2, 7):
+        leaves = ",".join(map(str, range(c)))
+        trees += [cotree_from_text(f"{label}({leaves})") for label in (0, 1)]
+    for t in trees:
+        assert kappa_hat(t) == kappa_hat_naive(t), cotree_to_text(t)
+
+
+def test_packed_runs_on_deep_trees():
+    for top in (0, 1):
+        t = deep_alternating_cotree(2**12, top)
+        assert kappa_hat(t) == kappa_hat_naive(t), top
+
+
+def test_packed_runs_past_one_int_digit():
+    n = 2**17
+    t = random_cotree(n)
+    assert kappa_hat(t) == kappa_hat_naive(t)
+    # a random cotree's values stay below 2^30 / (n + 1); joined with the
+    # cotree of K_{2,2,...,2}, a sum of [1, 1]s, its entries pass it, so the
+    # adds split and grow runs of two-digit ints
+    half = random_cotree(n // 2, 7)
+    pairs = [
+        CotreeNode(label=0, children=[CotreeNode(vertex=v), CotreeNode(vertex=v + 1)])
+        for v in range(n // 2, n, 2)
+    ]
+    t = Cotree(CotreeNode(label=1, children=[half.root] + pairs), n)
+    kappa = kappa_hat(t)
+    assert kappa[0] * (n + 1) > 2**30
+    assert kappa == kappa_hat_naive(t)
 
 
 def test_lambda_matches_operator_swapped_traversal_on_deep_trees():
