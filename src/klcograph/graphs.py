@@ -125,14 +125,11 @@ def parse_edge_list(text: str) -> Graph:
     Blank lines and lines starting with '#' are ignored.  A vertex count
     above ``MAX_VERTICES``, declared or implied by a vertex id, is an error.
 
-    A regular list is decoded in bulk: an optional one-id first line, then
-    two ids a line, every id a valid vertex id.  Its layout is checked once
-    on the separators of its bytes, and its ids are read by one C call.  A
-    list with blank lines, other white space or ids in another form that
-    ``int`` reads ("+1", "1_0") is put in that layout first.  Anything else,
-    a comment included ('#' is in no id), goes through the line loop, the
-    only code that raises ``GraphFormatError``, so an error still names the
-    first bad line.
+    A list in the regular layout is decoded in bulk by ``_bulk_edge_list``.
+    Anything else, such as CRLF, tabs, blank lines, comments or ids like
+    "+1" or "007", goes through the line loop, which reads it to the same
+    graph.  The line loop is the only code that raises ``GraphFormatError``,
+    so an error names the first bad line.
     """
     g = _bulk_edge_list(text)
     return g if g is not None else _edge_list_by_line(text)
@@ -141,84 +138,31 @@ def parse_edge_list(text: str) -> Graph:
 # Separators of the regular layout, each made a comma for ``json.loads``.
 _COMMAS = bytes.maketrans(b" \n", b",,")
 
-# ASCII white space as str.splitlines and str.split see it: each line break
-# made "\n", each other space " ".
-_SPACING = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f", b"\n\n\n\n\n\n  ")
 
+def _bulk_edge_list(text: str) -> Graph | None:
+    """The graph of an edge list in the regular layout, or None for the line
+    loop to decide.
 
-def _regular_ids(data: bytes) -> tuple[int, list[int]] | None:
-    """(1 if a header line, else 0; every id in order) of a list in the
-    regular layout, or None.
-
-    The layout is decimal ids, one space between the two ids of a line, and
-    one "\n" between lines and at most one after the last.  What is left of
-    the bytes once the digits are deleted must then be an optional "\n", the
-    header's, and " \n" repeated.  ``json.loads`` reads the ids in one call,
-    with each separator made a comma.  It rejects a leading zero ("007"),
-    and then ``int`` reads the ids of the split bytes.
+    The layout is an optional one-id first line, then two ids a line: ASCII
+    decimal ids without a leading zero, one space between the two ids of a
+    line, and one "\n" between lines and at most one after the last.  What is
+    left of the bytes once the digits are deleted must then be an optional
+    "\n", the header's, and " \n" repeated.  ``json.loads`` reads the ids in
+    one call, with each separator made a comma; an id it rejects, such as
+    "007" or an empty one, means None.  The ids are checked as the line loop
+    checks them (range, ``MAX_VERTICES``, self-loops); nothing here raises.
     """
-    body = data.removesuffix(b"\n")
+    if not text.isascii():
+        return None
+    body = text.encode().removesuffix(b"\n")
     gaps = body.translate(None, b"0123456789") + b"\n"
     header = int(gaps[:1] == b"\n")
-    if gaps[header:] != b" \n" * ((len(gaps) - header) // 2):
+    if not body or gaps[header:] != b" \n" * ((len(gaps) - header) // 2):
         return None
     try:
         ids = json.loads(b"[" + body.translate(_COMMAS) + b"]")
-    except ValueError:  # a leading zero, which int() reads, or an empty id
-        try:
-            ids = list(map(int, body.split()))
-        except ValueError:  # an id past int()'s digit limit
-            return None
-    # split() drops an empty id, so there is then one id fewer than gaps
-    return (header, ids) if len(ids) == len(gaps) else None
-
-
-def _regular_spacing(data: bytes) -> bytes:
-    """ASCII edge-list bytes with one space between the tokens of a line and
-    one "\n" between nonblank lines: CRLF, tabs and blank lines in C passes,
-    not a pass over the lines."""
-    data = data.translate(_SPACING)
-    for run, one in ((b"  ", b" "), (b" \n", b"\n"), (b"\n ", b"\n"), (b"\n\n", b"\n")):
-        while run in data:
-            data = data.replace(run, one)
-    return data.strip(b" \n")
-
-
-def _regular_tokens(text: str) -> bytes:
-    """The edge list with one space between the tokens of a line, one "\n"
-    between nonblank lines, and each token as ``int`` reads it, such as "1"
-    for "+1", "10" for "1_0" or a non-ASCII digit's value.
-
-    One pass over the lines, and ``int`` once per distinct token; raises
-    ``ValueError`` at a token that is no integer.
-    """
-    canonical = {token: str(int(token)) for token in set(text.split())}
-    get = canonical.__getitem__
-    lines = [" ".join(map(get, line)) for line in map(str.split, text.splitlines()) if line]
-    return "\n".join(lines).encode()
-
-
-def _bulk_edge_list(text: str) -> Graph | None:
-    """The graph of a regular edge list, or None for the line loop to decide.
-
-    A text in the regular layout is decoded as it is.  Otherwise it is put in
-    that layout and decoded by the same ``_regular_ids``: an ASCII text's
-    white space by ``_regular_spacing``, then, if that is not enough, every
-    token by ``_regular_tokens``.  The ids are checked as the line loop
-    checks them (range, ``MAX_VERTICES``, self-loops); nothing here raises.
-    """
-    decoded = None
-    if text.isascii():
-        data = text.encode()
-        decoded = _regular_ids(data) or _regular_ids(_regular_spacing(data))
-    if decoded is None:
-        try:
-            decoded = _regular_ids(_regular_tokens(text))
-        except ValueError:  # a token that is no integer
-            return None
-        if decoded is None:
-            return None
-    header, ids = decoded
+    except ValueError:  # a leading zero, an empty id or too many digits
+        return None
     ends = set(islice(ids, header, None))  # the vertices in an edge
     top = max(ends, default=-1)
     n = ids[0] if header else top + 1

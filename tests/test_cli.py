@@ -12,12 +12,16 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from klcograph import (
+    BoxCertificate,
     FerrersRepresentation,
     Graph,
+    KLColouring,
     P4Witness,
     build_cotree,
+    complement,
     evaluate_cotree,
     find_p4,
+    is_kl_colourable_oracle,
     kappa_hat,
     kappa_hat_naive,
     lambda_hat_naive,
@@ -25,12 +29,14 @@ from klcograph import (
     parse_graph6,
     random_cotree,
     render_svg,
+    validate_colouring,
+    verify_box_cograph,
 )
 import klcograph
 from klcograph import cli
 from klcograph.cli import main
 
-from helpers import EXAMPLE_7, cycle_graph, encode_graph6, l_copies_of_k_clique
+from helpers import EXAMPLE_7, cycle_graph, encode_graph6, l_copies_of_k_clique, path_graph
 
 
 def run(capsys, *argv):
@@ -536,3 +542,69 @@ def test_cli_exit_code_contract_on_mutated_input(case):
             assert P4Witness(*(int(x) for x in payload["p4"])).holds_in(g)
         else:
             assert command[0] in ("check", "certify") and "vertices" in payload
+
+
+def _spellings(g):
+    """g's edge list with a header in the regular layout, and the same list
+    spelt with CRLF, tabs, blank lines, comments, "+1" ids and "007" ids."""
+    lines = [str(g.n)] + [f"{u} {v}" for u, v in g.edges()]
+
+    def ids(prefix):
+        return "".join(" ".join(prefix + t for t in ln.split()) + "\n" for ln in lines)
+
+    regular = "\n".join(lines) + "\n"
+    return regular, {
+        "crlf": regular.replace("\n", "\r\n"),
+        "tab": regular.replace(" ", "\t"),
+        "blank": regular.replace("\n", "\n\n"),
+        "comment": "# header\n" + regular.replace("\n", "\n# edge\n"),
+        "plus": ids("+"),
+        "zeros": ids("00"),
+    }
+
+
+def test_every_graph_command_reads_each_edge_list_spelling_alike():
+    # GRAPH_COMMANDS' check and certify answer no on these; a wider (k, l)
+    # gives a yes and a colouring
+    yes = (("check", "-k", "3", "-l", "3"), ("certify", "-k", "3", "-l", "3"))
+    for g in _random_cographs(34, 4, 12) + [path_graph(4)]:
+        regular, spellings = _spellings(g)
+        for command in GRAPH_COMMANDS + yes:
+            argv = [command[0], "-", *command[1:]]
+            expected = run_on_stdin(argv, regular)
+            assert expected[0] in (0, 1), (argv, expected)
+            for name, text in spellings.items():
+                assert run_on_stdin(argv, text) == expected, (name, argv)
+
+
+def test_check_and_certify_payloads_verify_on_the_graph(tmp_path):
+    graphs = _random_cographs(35, 10, 30) + _random_cographs(36, 6, 10)
+    for i, g in enumerate(graphs + [complement(g) for g in graphs]):
+        path = _write_edges(tmp_path, f"g{i}.txt", g)
+        # the payload lists edges in the order of the graph main reads
+        g = parse_edge_list(Path(path).read_text())
+        for k in range(4):
+            for l in range(4):
+                argv = (path, "-k", str(k), "-l", str(l))
+                for command in ("check", "certify"):
+                    code, out, err = run_on_stdin([command, *argv], "")
+                    assert code in (0, 1) and err == "", (command, argv, err)
+                    payload = json.loads(out)
+                    if code == 1:
+                        members = {int(v) for v in payload["vertices"]}
+                        assert (payload["k"], payload["l"]) == (k + 1, l + 1)
+                        assert verify_box_cograph(g, BoxCertificate(members, k + 1, l + 1))
+                        assert payload["induced_edges"] == [
+                            [str(u), str(v)] for u, v in g.edges()
+                            if u in members and v in members
+                        ]
+                    elif command == "certify":
+                        col = KLColouring(
+                            *(
+                                tuple(frozenset(map(int, part)) for part in payload[key])
+                                for key in ("independent_sets", "cliques")
+                            )
+                        )
+                        assert validate_colouring(g, col, k, l), argv
+                    if command == "check" and g.n <= 10:
+                        assert code == (not is_kl_colourable_oracle(g, k, l)), argv

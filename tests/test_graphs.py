@@ -18,8 +18,6 @@ from klcograph import (
 from klcograph.graphs import (
     _bulk_edge_list,
     _edge_list_by_line,
-    _regular_ids,
-    _regular_spacing,
     is_clique,
     is_independent_set,
 )
@@ -115,53 +113,64 @@ def test_parse_edge_list_rejects_malformed(text):
         parse_edge_list(text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "0 1\n1 2\n",
-        "0 1",
-        "4\n",
-        "5\n0 1\n",
-        "\n  \n3\r\n0\t1\r\n 1  2 \r\n\r\n1 2\r\n",
-        "2 0\n0 2\n007 1\n",
-    ],
-)
-def test_regular_edge_lists_take_the_bulk_path(text):
-    g = _bulk_edge_list(text)
-    assert g is not None and g == _edge_list_by_line(text)
-
-
 def _listed(g, header=True):
     """g as an edge list, each edge once as "u v" with u < v, optionally
     after a line declaring n, with a trailing newline."""
     return "\n".join([str(g.n)] * header + [f"{u} {v}" for u, v in g.edges()]) + "\n"
 
 
+def _decodes(text, regular):
+    """A text in the regular layout (``regular`` None) decodes in bulk to the
+    line loop's graph.  Any other spelling is left to the line loop, which
+    reads it to the graph of ``regular``, the same list in the regular
+    layout."""
+    if regular is None:
+        g = _bulk_edge_list(text)
+        assert g is not None and g == _edge_list_by_line(text)
+    else:
+        assert _bulk_edge_list(text) is None
+        assert parse_edge_list(text) == parse_edge_list(regular)
+
+
+EDGE_LISTS = (
+    ("0 1\n1 2\n", None),
+    ("0 1", None),
+    ("4\n", None),
+    ("5\n0 1\n", None),
+    ("\n  \n3\r\n0\t1\r\n 1  2 \r\n\r\n1 2\r\n", "3\n0 1\n1 2\n1 2\n"),
+    ("2 0\n0 2\n007 1\n", "2 0\n0 2\n7 1\n"),
+)
+
+
+@pytest.mark.parametrize("text, regular", EDGE_LISTS, ids=[text for text, _ in EDGE_LISTS])
+def test_regular_edge_lists_take_the_bulk_path(text, regular):
+    _decodes(text, regular)
+
+
 LARGE = random_graph(540, 0.5, random.Random(540))  # m ~ 73k, as graph-query's largest
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, regular",
     [
-        _listed(LARGE),
-        _listed(LARGE).replace("\n", "\r\n"),
-        _listed(LARGE).replace(" ", "\t"),
-        _listed(LARGE).replace("\n", "\n\n"),
-        "5\n",
-        "3\n0 1\n1 2",
-        _listed(path_graph(4), header=False).rstrip("\n"),
-        "00 1",
-        "0 01",
-        "+1 2\n1_0 \u0663\n",
-        "0\u30001\u20282 3",
+        (_listed(LARGE), None),
+        (_listed(LARGE).replace("\n", "\r\n"), _listed(LARGE)),
+        (_listed(LARGE).replace(" ", "\t"), _listed(LARGE)),
+        (_listed(LARGE).replace("\n", "\n\n"), _listed(LARGE)),
+        ("5\n", None),
+        ("3\n0 1\n1 2", None),
+        (_listed(path_graph(4), header=False).rstrip("\n"), None),
+        ("00 1", "0 1"),
+        ("0 01", "0 1"),
+        ("+1 2\n1_0 \u0663\n", "1 2\n10 3\n"),
+        ("0\u30001\u20282 3", "0 1\n2 3"),
     ],
     ids=["n540", "n540-crlf", "n540-tab", "n540-blank", "header-only",
          "no-final-newline", "no-header-no-final-newline", "leading-zero-u",
          "leading-zero-v", "int-forms", "non-ascii-space"],
 )
-def test_regular_layouts_decode_in_bulk(text):
-    g = _bulk_edge_list(text)
-    assert g is not None and g == _edge_list_by_line(text)
+def test_regular_layouts_decode_in_bulk(text, regular):
+    _decodes(text, regular)
 
 
 @pytest.mark.parametrize(
@@ -175,18 +184,18 @@ def test_regular_layouts_decode_in_bulk(text):
     ids=["n540-crlf", "n540-tab", "n540-blank", "every-ascii-space"],
 )
 def test_ascii_white_space_is_collapsed_without_a_pass_over_the_lines(text, regular):
-    # the C passes of _regular_spacing, not _regular_tokens, put these in
-    # the regular layout
-    assert _regular_spacing(text.encode()) == regular.rstrip("\n").encode()
+    # the bulk path leaves these to the line loop, whose str.split and
+    # str.splitlines see every ASCII space and line break
+    _decodes(text, regular)
 
 
 def test_the_decode_reads_leading_zeros_and_counts_empty_ids():
-    # json.loads rejects "00" and "02"; int() reads them from the same bytes
-    assert _regular_ids(b"3\n00 1\n0 02\n") == (1, [3, 0, 1, 0, 2])
+    # json.loads rejects "00" and "02"; the line loop reads them
+    _decodes("3\n00 1\n0 02\n", "3\n0 1\n0 2\n")
     # the separators fit the layout, but the first id is empty: read as a
     # header, "5" would leave an edge "2 3" and a stray "3"
-    assert _regular_ids(b"\n5 1\n2 3") is None
-    assert _regular_ids(b"") is None
+    assert _bulk_edge_list("\n5 1\n2 3") is None
+    assert _bulk_edge_list("") is None
 
 
 # Edge-list lines: regular edges, and lines the bulk path must leave to the
