@@ -8,8 +8,8 @@ children's runs, then one top-down walk that gives each child its share of
 the parts or of the box.  A non-big child's share is one query on its runs,
 which the fold left intact; the big child gets what is left, which the
 parent's own answer makes enough.  ``read_obstruction`` reads the box off
-the Ferrers diagram instead (the top k cells of its leftmost l columns),
-and stays as the reference.
+the Ferrers diagram instead (the top k cells of its leftmost l columns), as
+the paper does; it is tested on its own.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ not implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 import json
 from json.decoder import scanstring
 import re
@@ -61,11 +62,10 @@ class CotreeNode:
     """Node of a tree given to, or read from, a ``Cotree``.  Leaves carry a
     vertex id, internal nodes a 0/1 label.
 
-    ``Cotree.root`` builds a tree of these from the cotree's lists, with
-    ``size``, the node's leaf count, and ``big``, the index of its first child
-    with the most leaves, set at every node.  The ``Cotree`` constructor reads
-    a tree of them once and keeps none.  Leaves share one empty tuple of
-    ``children`` unless given a list.
+    ``size`` is the node's leaf count (1 at a leaf from the start) and ``big``
+    the index of its first child with the most leaves; ``Cotree.root`` builds
+    these from the lists with both set.  The constructor reads them once and
+    keeps none.  Leaves share one empty tuple of ``children`` unless given a list.
     """
 
     __slots__ = ("label", "vertex", "children", "size", "big", "__weakref__")
@@ -79,7 +79,8 @@ class CotreeNode:
         self.label = label
         self.vertex = vertex
         self.children = ([] if vertex is None else ()) if children is None else children
-        self.size = self.big = 0
+        self.size = 0 if vertex is None else 1
+        self.big = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -109,16 +110,16 @@ class Cotree:
     ``CotreeNode`` built from the lists when asked for, and returned again
     while it is still in use; the cotree holds only a weak reference to it.
 
-    ``Cotree(root, n, labels)`` reads a tree of nodes in one walk.  It raises
-    ValueError unless the leaves are the ints 0..n-1 once each, each internal
-    node has the int label 0 or 1 and two or more children, and ``labels``,
-    if given, has n names.  It allows a child that repeats its parent's
-    label, as merging one-child nodes leaves it: the graph is the same.  The
-    readers and ``check_cotree`` reject that.
+    ``Cotree(root, n, labels)`` reads a tree of nodes with ``_unfold``; ``root``
+    is built by ``_fold``.  The constructor raises ValueError unless the leaves
+    are the ints 0..n-1 once each, each internal node has the int label 0 or 1
+    and two or more children, and ``labels``, if given, has n names.  It allows
+    a child that repeats its parent's label, as merging one-child nodes leaves
+    it: the graph is the same.  The readers and ``check_cotree`` reject that.
     """
 
     n: int
-    labels: tuple[str, ...] | None
+    labels: tuple[str, ...] | None = field(compare=False)
     codes: list[int] = field(repr=False, hash=False)
     counts: list[int] = field(repr=False, hash=False)
     bigs: list[int] = field(repr=False, hash=False)
@@ -128,30 +129,19 @@ class Cotree:
     ) -> None:
         if labels is not None and len(labels) != n:
             raise ValueError(f"{len(labels)} labels for n = {n} vertices")
-        # the walk meets each node before its children and the children
-        # right to left, the reverse of postorder, so it writes the lists
-        # backwards; it keeps an explicit stack, since trees can be deep
-        codes: list[int] = []
-        counts: list[int] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
+
+        def parts(node: CotreeNode) -> tuple[int, object]:
             v = node.vertex
             if v is None:
                 label = node.label
                 # type(...) is int: True and 1.0 equal 1, but are no id or label
                 ok = type(label) is int and label in (0, 1)
-                codes.append(~label if ok else _BAD_LABEL)
-                kids = node.children
-                counts.append(len(kids))
-                stack.extend(kids)
-            elif type(v) is int:
-                codes.append(v if v >= 0 else v - 3)
-                counts.append(0)
-            else:
-                raise ValueError(f"bad leaf vertex {v}")
-        codes.reverse()
-        counts.reverse()
+                return (~label if ok else _BAD_LABEL), node.children
+            if type(v) is int:
+                return (v if v >= 0 else v - 3), ()
+            raise ValueError(f"bad leaf vertex {v}")
+
+        codes, counts = _unfold(root, parts)
         bigs, _ = _check_lists(codes, counts, n)
         vars(self).update(n=n, labels=labels, codes=codes, counts=counts, bigs=bigs)
 
@@ -181,23 +171,19 @@ class Cotree:
     @property
     def root(self) -> CotreeNode:
         """The tree as nodes, each with its ``size`` and ``big``."""
-        view = vars(self).get("_view")
-        root = view() if view is not None else None
+        view = vars(self).get("_view")  # a weak reference is never false
+        root = view and view()
         if root is not None:
             return root
-        stack: list[CotreeNode] = []
-        for code, count, big in zip(self.codes, self.counts, self.bigs):
-            if code >= 0:
-                node = CotreeNode(vertex=code)
-                node.size = 1
-            else:
-                kids = stack[-count:]
-                del stack[-count:]
-                node = CotreeNode(label=~code, children=kids)
-                node.size = sum([kid.size for kid in kids])
-                node.big = big
-            stack.append(node)
-        root = stack[0]
+
+        def internal(label: int, kids: list[CotreeNode], big: int) -> CotreeNode:
+            node = CotreeNode(label=label, children=kids)
+            node.size = sum([kid.size for kid in kids])
+            node.big = big
+            return node
+
+        # CotreeNode(None, v) is the leaf of v, with its size
+        root = _fold(self, partial(CotreeNode, None), internal)
         vars(self)["_view"] = weakref.ref(root)
         return root
 
@@ -222,6 +208,23 @@ def _fold(t: Cotree, leaf, internal):
         else:
             stack[-count:] = [internal(~code, stack[-count:], big)]
     return stack[0]
+
+
+def _unfold(root, parts) -> tuple[list[int], list[int]]:
+    """The unchecked ``codes`` and ``counts`` of a nested tree, where ``parts(node)``
+    returns its code and its children in order; the walk meets the nodes in the
+    reverse of postorder, on an explicit stack, and reverses the lists once."""
+    codes: list[int] = []
+    counts: list[int] = []
+    stack = [root]
+    while stack:
+        code, kids = parts(stack.pop())
+        codes.append(code)
+        counts.append(len(kids))
+        stack.extend(kids)
+    codes.reverse()
+    counts.reverse()
+    return codes, counts
 
 
 def _descend(t: Cotree, kept: list, demand, leaf, internal) -> None:
@@ -652,7 +655,8 @@ def _reject_constant(name: str) -> NoReturn:
 
 def cotree_from_json(text: str) -> Cotree:
     """Inverse of ``cotree_to_json``; raises ValueError on malformed input,
-    such as a node with a vertex and also a label or children.
+    such as a node with a vertex and also a label or children.  The leaves'
+    names become the tree's ``labels`` when every leaf has a string name.
 
     The C ``json.loads`` reads the document unless it nests too deeply for
     the interpreter's recursion limit; ``_json_loads`` then reads it.  Both
@@ -662,37 +666,32 @@ def cotree_from_json(text: str) -> Cotree:
         data = json.loads(text, parse_constant=_reject_constant)
     except RecursionError:
         data = _json_loads(text)
-    codes: list[int] = []
-    counts: list[int] = []
-    leaves = 0
-    # stack entries: JSON objects still to read, first child on top, and the
-    # (code, count) of each node read whose children are still to come
-    stack: list[object] = [data]
-    while stack:
-        obj = stack.pop()
-        if obj.__class__ is tuple:
-            codes.append(obj[0])
-            counts.append(obj[1])
-            continue
+    names: list[object] = []  # per leaf met, its name or None
+
+    def parts(obj: object) -> tuple[int, object]:
         if not isinstance(obj, dict):
             raise ValueError(
                 f"cotree JSON node must be an object, got {reprlib.repr(obj)}"
             )
         if "vertex" in obj and "label" not in obj and "children" not in obj:
             v = _json_int(obj["vertex"], "vertex")
-            codes.append(v if v >= 0 else v - 3)
-            counts.append(0)
-            leaves += 1
-            continue
+            names.append(obj.get("name"))
+            return (v if v >= 0 else v - 3), ()
         children = obj.get("children")
         if "vertex" in obj or "label" not in obj or not isinstance(children, list):
             raise ValueError(
                 "cotree JSON node needs a vertex, or a label and a children list"
             )
         label = _json_int(obj["label"], "label")
-        stack.append((~label if label in (0, 1) else _BAD_LABEL, len(children)))
-        stack.extend(reversed(children))
-    return Cotree._checked(codes, counts, leaves)
+        return (~label if label in (0, 1) else _BAD_LABEL), children
+
+    codes, counts = _unfold(data, parts)
+    t = Cotree._checked(codes, counts, len(names))
+    if all(type(name) is str for name in names):
+        # the walk met the leaves in the reverse of postorder, each vertex once
+        by_vertex = dict(zip([code for code in reversed(codes) if code >= 0], names))
+        t = Cotree._of(codes, counts, t.bigs, t.n, tuple(map(by_vertex.get, range(t.n))))
+    return t
 
 
 _TEXT_DELIMITERS = re.compile(r"([(),])")
@@ -705,7 +704,7 @@ def cotree_from_text(text: str) -> Cotree:
     # offset pos of text, so a delimiter sits at an odd index below last
     pieces = _TEXT_DELIMITERS.split(text)
     last = len(pieces) - 1
-    i = pos = leaves = 0
+    i = pos = 0
     codes: list[int] = []  # the lists of the nodes read so far, in postorder
     counts: list[int] = []
     open_codes: list[int] = []  # per internal node whose ')' is pending: its code
@@ -728,7 +727,6 @@ def cotree_from_text(text: str) -> Cotree:
         v = int(token)
         codes.append(v if v >= 0 else v - 3)
         counts.append(0)
-        leaves += 1
         # a node just ended: a ',' starts its next sibling, a ')' ends its
         # parent, and j is the delimiter after it
         j = i + 1
@@ -749,4 +747,5 @@ def cotree_from_text(text: str) -> Cotree:
         pos += 1
     if pos != len(text.rstrip()):
         raise ValueError("trailing characters after cotree text")
-    return Cotree._checked(codes, counts, leaves)
+    # each internal node was given a child, so the nodes with none are the leaves
+    return Cotree._checked(codes, counts, counts.count(0))

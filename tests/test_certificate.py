@@ -257,3 +257,46 @@ def test_boxes_are_vertex_minimal_per_the_oracle():
                         assert is_kl_colourable_oracle(rest, k, l), (k, l, x)
                     checked += 1
     assert checked >= 50
+
+
+# certify's exact answers on seeded trees: (family, argument, k, l, answer),
+# where a colouring is (independent parts, cliques) in its part order and a
+# box its sorted vertices.  Both are whatever the descent picks among many
+# valid witnesses, so an engine change that moves one fails here, and the
+# new witnesses are to be checked and pinned again.
+PINNED_ANSWERS = [
+    ("random", 1, 5, 1, ([[16, 17, 19, 20, 25, 26, 28], [21, 24, 27, 29],
+                          [0, 1, 2, 7, 8, 9, 11, 15], [3, 12, 13, 14], [4, 5]],
+                         [[6, 10, 18, 22, 23]])),
+    ("random", 1, 4, 1, [2, 3, 5, 6, 11, 12, 19, 20, 21, 24]),
+    ("random", 1, 1, 4, [18, 19, 20, 21, 23, 24, 26, 27, 28, 29]),
+    ("random", 2, 7, 1, ([[0, 6, 7], [1, 8], [2, 27, 28, 29], [9, 11, 15, 23, 24],
+                          [10, 12, 13, 14, 25, 26], [17, 18, 19, 20], [21]],
+                         [[3, 4, 5, 16, 22]])),
+    ("random", 2, 6, 1, [4, 5, 7, 8, 16, 18, 20, 21, 23, 24, 25, 26, 28, 29]),
+    ("random", 2, 1, 4, [1, 2, 9, 10, 11, 13, 23, 24, 25, 26]),
+    ("random", 3, 5, 1, ([[0, 9, 12, 18, 19], [4, 10, 11, 13, 26, 27],
+                          [1, 3, 5, 6, 7, 8, 14, 28, 29], [2, 15, 17, 24], [16, 25]],
+                         [[20, 21, 22, 23]])),
+    ("random", 3, 4, 1, [12, 13, 14, 15, 16, 19, 24, 25, 27, 29]),
+    ("random", 3, 1, 4, [0, 4, 6, 7, 10, 11, 12, 13, 19, 27]),
+    ("deep", 0, 1, 1, ([[0, 1, 3, 5, 7, 9, 11]], [[2, 4, 6, 8, 10]])),
+    ("deep", 0, 0, 1, [10, 11]),
+    ("deep", 0, 1, 4, ([[0, 1, 3, 5, 7, 9, 11]], [[2, 4, 6, 8, 10]])),
+    ("deep", 1, 1, 1, ([[2, 4, 6, 8, 10]], [[0, 1, 3, 5, 7, 9, 11]])),
+    ("deep", 1, 0, 1, [9, 10]),
+    ("deep", 1, 1, 4, ([[2, 4, 6, 8, 10]], [[0, 1, 3, 5, 7, 9, 11]])),
+]
+
+
+@pytest.mark.parametrize("family, arg, k, l, answer", PINNED_ANSWERS)
+def test_certify_answers_are_pinned(family, arg, k, l, answer):
+    t = random_cotree(30, arg) if family == "random" else deep_alternating_cotree(12, arg)
+    got = certify_non_colourable(t, k, l)
+    if isinstance(got, BoxCertificate):
+        assert (got.k, got.l, sorted(got.vertices)) == (k + 1, l + 1, answer)
+        assert verify_box_cograph(evaluate_cotree(t), got)
+    else:
+        sides = (got.independent_parts, got.clique_parts)
+        assert tuple([sorted(p) for p in side] for side in sides) == answer
+        assert validate_colouring(evaluate_cotree(t), got, k, l)

@@ -608,3 +608,21 @@ def test_check_and_certify_payloads_verify_on_the_graph(tmp_path):
                         assert validate_colouring(g, col, k, l), argv
                     if command == "check" and g.n <= 10:
                         assert code == (not is_kl_colourable_oracle(g, k, l)), argv
+
+
+def test_certify_payload_is_pinned(capsys, tmp_path):
+    # the box certify prints for random_cotree(30, 1) at (1, 4), as found by
+    # the descent; tests/test_certificate.py pins the library's answers
+    g = evaluate_cotree(random_cotree(30, 1))
+    code, out, _ = run(capsys, "certify", _write_edges(tmp_path, "g.txt", g), "-k", "1", "-l", "4")
+    assert code == 1
+    assert json.loads(out) == {
+        "k": 2,
+        "l": 5,
+        "vertices": ["18", "19", "20", "21", "23", "24", "26", "27", "28", "29"],
+        "induced_edges": [
+            ["18", "21"], ["18", "23"], ["18", "24"], ["19", "21"], ["19", "23"],
+            ["19", "24"], ["20", "21"], ["20", "23"], ["20", "24"], ["26", "27"],
+            ["28", "29"],
+        ],
+    }

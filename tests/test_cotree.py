@@ -27,6 +27,7 @@ from klcograph import (
     kappa_hat_naive,
     lambda_hat,
     lambda_hat_naive,
+    parse_edge_list,
     random_cotree,
     validate_ferrers_against_cotree,
 )
@@ -328,6 +329,8 @@ def test_text_and_json_round_trips():
     leaf = [{"vertex": v, "name": names[v]} for v in range(3)]
     expected = {"label": 0, "children": [leaf[2], {"label": 1, "children": leaf[:2]}]}
     assert cotree_to_json(t) == json.dumps(expected)
+    # and the reader takes them back as the tree's labels
+    assert cotree_to_json(cotree_from_json(cotree_to_json(t))) == cotree_to_json(t)
     for bad in (
         '{"label": 1}',
         "[1, 2]",
@@ -355,6 +358,24 @@ def test_text_and_json_round_trips():
     ):
         with pytest.raises(ValueError, match="needs a vertex, or a label and a children list"):
             cotree_from_json(bad)
+
+
+def test_json_round_trip_keeps_the_vertex_names():
+    g = parse_edge_list("0 1\n1 2\n2 3\n3 0\n4 5\n")
+    t = build_cotree(induced_subgraph(g, [1, 2, 4, 5]))
+    back = cotree_from_json(cotree_to_json(t))
+    assert back.labels == t.labels == ("1", "2", "4", "5")
+    assert back == t and evaluate_cotree(back).labels == t.labels
+    # labels take no part in equality, as for Graph
+    assert Cotree._of(t.codes, t.counts, t.bigs, t.n) == t
+    # the names become labels only when every leaf has a string name
+    for leaves in (
+        '{"vertex": 0}, {"vertex": 1, "name": "b"}',
+        '{"vertex": 0, "name": "a"}, {"vertex": 1, "name": 7}',
+    ):
+        assert cotree_from_json('{"label": 0, "children": [%s]}' % leaves).labels is None
+    both = '{"label": 0, "children": [{"vertex": 1, "name": "b"}, {"vertex": 0, "name": "a"}]}'
+    assert cotree_from_json(both).labels == ("a", "b")
 
 
 def test_json_reader_matches_json_loads():

@@ -164,28 +164,15 @@ LARGE = random_graph(540, 0.5, random.Random(540))  # m ~ 73k, as graph-query's 
         ("0 01", "0 1"),
         ("+1 2\n1_0 \u0663\n", "1 2\n10 3\n"),
         ("0\u30001\u20282 3", "0 1\n2 3"),
+        # the line loop's str.split and str.splitlines see every ASCII space
+        # and line break
+        (" 3 \x0b\x0c 0\x1f\t 1  \r\r\n1    2\x1c\x1d\x1e", "3\n0 1\n1 2"),
     ],
     ids=["n540", "n540-crlf", "n540-tab", "n540-blank", "header-only",
          "no-final-newline", "no-header-no-final-newline", "leading-zero-u",
-         "leading-zero-v", "int-forms", "non-ascii-space"],
+         "leading-zero-v", "int-forms", "non-ascii-space", "every-ascii-space"],
 )
 def test_regular_layouts_decode_in_bulk(text, regular):
-    _decodes(text, regular)
-
-
-@pytest.mark.parametrize(
-    "text, regular",
-    [
-        (_listed(LARGE).replace("\n", "\r\n"), _listed(LARGE)),
-        (_listed(LARGE).replace(" ", "\t"), _listed(LARGE)),
-        (_listed(LARGE).replace("\n", "\n\n"), _listed(LARGE)),
-        (" 3 \x0b\x0c 0\x1f\t 1  \r\r\n1    2\x1c\x1d\x1e", "3\n0 1\n1 2"),
-    ],
-    ids=["n540-crlf", "n540-tab", "n540-blank", "every-ascii-space"],
-)
-def test_ascii_white_space_is_collapsed_without_a_pass_over_the_lines(text, regular):
-    # the bulk path leaves these to the line loop, whose str.split and
-    # str.splitlines see every ASCII space and line break
     _decodes(text, regular)
 
 

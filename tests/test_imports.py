@@ -148,23 +148,50 @@ def test_certify_builds_no_ferrers_diagram():
 SIZERS = {("cotree.py", "CotreeNode.__init__"), ("cotree.py", "Cotree.root")}
 
 
-def test_one_walk_writes_the_sizes():
-    found = []
+def _definitions():
+    """(file name, "name" or "Class.name", node) for every top-level
+    statement of the package, and every statement in a top-level class."""
     for name, tree in _sources():
         for top in tree.body:
             for part in top.body if isinstance(top, ast.ClassDef) else [top]:
                 where = getattr(top, "name", "?")
                 if part is not top:
                     where += "." + getattr(part, "name", "?")
-                found += [
-                    f"{name}:{node.lineno} .{node.attr} in {where}"
-                    for node in ast.walk(part)
-                    if isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Store)
-                    and node.attr in ("size", "big")
-                    and (name, where) not in SIZERS
-                ]
+                yield name, where, part
+
+
+def test_one_walk_writes_the_sizes():
+    found = [
+        f"{name}:{node.lineno} .{node.attr} in {where}"
+        for name, where, part in _definitions()
+        for node in ast.walk(part)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr in ("size", "big")
+        and (name, where) not in SIZERS
+    ]
     assert not found, "size or big written outside Cotree.root: " + ", ".join(found)
+
+
+# The definitions that turn nested input into the lists, or the lists into
+# nodes.  Each hands its per-node rule to cotree._unfold or cotree._fold, so
+# a loop of its own would be a second walk.
+NESTED_WALKERS = {"Cotree.__init__", "Cotree.root", "cotree_from_json"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While)
+
+
+def test_one_walk_from_nested_input():
+    seen, found = set(), []
+    for name, where, part in _definitions():
+        if name == "cotree.py" and where in NESTED_WALKERS:
+            seen.add(where)
+            found += [
+                f"cotree.py:{node.lineno} in {where}"
+                for node in ast.walk(part)
+                if isinstance(node, LOOPS)
+            ]
+    assert seen == NESTED_WALKERS, "walkers not found: " + ", ".join(NESTED_WALKERS - seen)
+    assert not found, "a loop of its own: " + ", ".join(found)
 
 
 # The oracle is the reference that the cotree engines are checked against:
