@@ -656,7 +656,8 @@ def _reject_constant(name: str) -> NoReturn:
 def cotree_from_json(text: str) -> Cotree:
     """Inverse of ``cotree_to_json``; raises ValueError on malformed input,
     such as a node with a vertex and also a label or children.  The leaves'
-    names become the tree's ``labels`` when every leaf has a string name.
+    names become the tree's ``labels`` when every leaf has a string name,
+    unless every name is its vertex's number, as for an unlabelled tree.
 
     The C ``json.loads`` reads the document unless it nests too deeply for
     the interpreter's recursion limit; ``_json_loads`` then reads it.  Both
@@ -689,8 +690,10 @@ def cotree_from_json(text: str) -> Cotree:
     t = Cotree._checked(codes, counts, len(names))
     if all(type(name) is str for name in names):
         # the walk met the leaves in the reverse of postorder, each vertex once
-        by_vertex = dict(zip([code for code in reversed(codes) if code >= 0], names))
-        t = Cotree._of(codes, counts, t.bigs, t.n, tuple(map(by_vertex.get, range(t.n))))
+        leaves = [code for code in reversed(codes) if code >= 0]
+        if any(map(str.__ne__, names, map(str, leaves))):
+            by_vertex = dict(zip(leaves, names))
+            t = Cotree._of(codes, counts, t.bigs, t.n, tuple(map(by_vertex.get, range(t.n))))
     return t
 
 

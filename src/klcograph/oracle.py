@@ -1,17 +1,18 @@
 """Exhaustive ground truth for small graphs.
 
 Everything here works on vertex bitmasks of a fixed parent graph, with
-per-invocation memo tables.  One memoized recurrence computes kappa, and chi
-is kappa at l = 0: each branch removes a maximal independent set or a maximal
-clique through the lowest vertex of the mask (Lawler 1976), enumerated by
-Bron-Kerbosch seeded at that vertex, on an explicit stack.  Each mask's two
-lists of branches are enumerated once and kept for every l, as long as the
-engine lives.  Built on the complement's masks, the same engine gives the
-clique cover number and lambda, since a (k,l)-colouring of G is by
-definition an (l,k)-colouring of its complement.  kappa_hat_oracle and
-lambda_hat_oracle together take a median of 0.11 ms at n = 4, 0.65 ms at
-n = 8 and 4.5 ms at n = 12 on G(n, p) with p in 0.25..0.75 (Python 3.11,
-2-core VM).
+per-invocation memo tables.  One memo maps each mask to its whole kappa
+sequence up to the first 0, and chi is its entry 0.  A mask's sequence comes
+from those of the masks left once a maximal independent set or a maximal
+clique through its lowest vertex is removed (Lawler 1976), enumerated once
+per mask by Bron-Kerbosch seeded at that vertex, on an explicit stack: each
+side's elementwise minimum, which ends with its shortest sequence since
+entries past a sequence's end are 0.  Built on the complement's masks, the
+same engine gives the clique cover number and lambda, since a
+(k,l)-colouring of G is by definition an (l,k)-colouring of its complement.
+kappa_hat_oracle and lambda_hat_oracle together take a median of 0.07 ms at
+n = 4, 0.38 ms at n = 8 and 2.8 ms at n = 12 on G(n, p) with p in
+0.25..0.75 (Python 3.11, 2-core VM).
 Box-cograph membership follows the recursive definition, except that a
 disconnected graph is a member iff its components are members with one
 chromatic number: by induction on their number, since a disjoint union's
@@ -89,51 +90,49 @@ def _maximal_cliques(adj: list[int], mask: int) -> list[int]:
 
 
 class _Engine:
-    """Memoized exact kappa over one fixed graph, given by the adjacency
-    masks of the graph and of its complement.  Each mask's branches, the
-    masks left once a maximal independent set or a maximal clique through
-    its lowest vertex is removed, are enumerated once and kept for every l."""
+    """Exact kappa over one fixed graph, given by the adjacency masks of the
+    graph and of its complement.  One dict maps each mask met to its whole
+    kappa sequence up to the first 0, filled once per mask."""
 
     def __init__(self, adj: list[int], co: list[int]) -> None:
         self.n = len(adj)
         self.adj = adj
         self.co = co
-        self._kappa: dict[tuple[int, int], int] = {}
-        self._rest_ind: dict[int, list[int]] = {}
-        self._rest_cl: dict[int, list[int]] = {}
+        self._seqs: dict[int, tuple[int, ...]] = {0: ()}
 
-    def kappa(self, mask: int, l: int) -> int:
-        """Least k such that the induced subgraph is (k,l)-colourable.
+    def seq(self, mask: int) -> tuple[int, ...]:
+        """Entries kappa(mask, 0), kappa(mask, 1), ... up to the first 0.
 
         Some optimal colouring puts the lowest vertex in a maximal part:
         growing its part keeps every other part valid once the added
-        vertices leave them.  So the recurrence removes a maximal
-        independent set, or (while l > 0) a maximal clique, through it.
+        vertices leave them.  So with ``ind`` and ``cl`` the least sequences
+        left once a maximal independent set or a maximal clique through it
+        is removed, entry 0 is 1 + ind[0] and entry l >= 1 is
+        min(1 + ind[l], cl[l - 1]), reading past a sequence's end as 0.
         """
-        if mask == 0:
-            return 0
-        known = self._kappa.get((mask, l))
+        known = self._seqs.get(mask)
         if known is not None:
             return known
-        rests = self._rests(self._rest_ind, self.co, mask)
-        best = 1 + min([self.kappa(m, l) for m in rests])
-        if l:
-            rests = self._rests(self._rest_cl, self.adj, mask)
-            for m in rests:
-                k = self.kappa(m, l - 1)
-                if k < best:
-                    best = k
-        self._kappa[(mask, l)] = best
-        return best
+        ind = self._least(self.co, mask)
+        cl = self._least(self.adj, mask)
+        ind += (0,) * (len(cl) + 1 - len(ind))
+        known = self._seqs[mask] = (
+            1 + ind[0],
+            *[i + 1 if i < c else c for i, c in zip(ind[1:], cl)],
+        )
+        return known
 
-    @staticmethod
-    def _rests(memo: dict[int, list[int]], adj: list[int], mask: int) -> list[int]:
-        """The masks left once each maximal clique of ``adj`` through the
-        lowest vertex of ``mask`` is removed, enumerated once per mask."""
-        rests = memo.get(mask)
-        if rests is None:
-            rests = memo[mask] = [mask ^ s for s in _maximal_cliques(adj, mask)]
-        return rests
+    def _least(self, adj: list[int], mask: int) -> tuple[int, ...]:
+        """Elementwise least sequence of the masks left once each maximal
+        clique of ``adj`` through the lowest vertex of ``mask`` is removed.
+        It ends with the shortest one, whose entries past its end are 0."""
+        seqs = [self.seq(mask ^ s) for s in _maximal_cliques(adj, mask)]
+        return seqs[0] if len(seqs) == 1 else tuple(map(min, *seqs))
+
+    def kappa(self, mask: int, l: int) -> int:
+        """Least k such that the induced subgraph is (k,l)-colourable."""
+        s = self.seq(mask)
+        return s[l] if l < len(s) else 0
 
 
 def _engines(g: Graph, budget: OracleBudget) -> tuple[_Engine, _Engine]:
@@ -149,19 +148,17 @@ def _engines(g: Graph, budget: OracleBudget) -> tuple[_Engine, _Engine]:
 
 
 def _sequence(eng: _Engine) -> PartitionSequence:
-    """Entries ``eng.kappa(V, 0), eng.kappa(V, 1), ...`` up to the first 0."""
-    full = (1 << eng.n) - 1
-    out: list[int] = []
-    while k := eng.kappa(full, len(out)):
-        out.append(k)
-    return PartitionSequence(out)
+    return PartitionSequence(eng.seq((1 << eng.n) - 1))
 
 
 def chromatic_number_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """Entry 0 of the kappa sequence, which costs the whole sequence."""
     return _engines(g, budget)[0].kappa((1 << g.n) - 1, 0)
 
 
 def kappa_oracle(g: Graph, l: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """Entry l of the kappa sequence, 0 past its end; any entry costs the
+    whole sequence."""
     _check_natural(l)
     return _engines(g, budget)[0].kappa((1 << g.n) - 1, l)
 

@@ -376,6 +376,8 @@ def test_json_round_trip_keeps_the_vertex_names():
         assert cotree_from_json('{"label": 0, "children": [%s]}' % leaves).labels is None
     both = '{"label": 0, "children": [{"vertex": 1, "name": "b"}, {"vertex": 0, "name": "a"}]}'
     assert cotree_from_json(both).labels == ("a", "b")
+    # an unlabelled tree's names are its vertex numbers: it stays unlabelled
+    assert cotree_from_json(cotree_to_json(random_cotree(5, 1))).labels is None
 
 
 def test_json_reader_matches_json_loads():

@@ -1,4 +1,5 @@
 import random
+from xml.etree import ElementTree
 
 import pytest
 
@@ -6,6 +7,7 @@ from klcograph import (
     BoxCertificate,
     Cotree,
     CotreeNode,
+    Graph,
     KLColouring,
     build_cotree,
     build_ferrers,
@@ -284,3 +286,12 @@ def test_render_svg_well_formed():
     assert svg.startswith("<?xml")
     assert svg.count("<circle") == 3
     assert "</svg>" in svg
+
+
+def test_render_svg_escapes_labels():
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)], labels=["a&b", "<c>", "d>e"])
+    svg = render_svg(build_ferrers(build_cotree(g)))
+    assert "a&amp;b" in svg and "&lt;c&gt;" in svg and "d&gt;e" in svg
+    root = ElementTree.fromstring(svg.encode())
+    texts = sorted(e.text for e in root.iter("{http://www.w3.org/2000/svg}text"))
+    assert texts == ["<c>", "a&b", "d>e"]

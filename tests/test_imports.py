@@ -1,6 +1,8 @@
 """Layout rules for the package sources."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import klcograph
@@ -218,3 +220,19 @@ def test_oracle_imports_only_the_reference_layer():
                 if allowed is not None and a.name not in allowed
             ]
     assert not found, "oracle.py imports beyond graphs and the sequence type: " + ", ".join(found)
+
+
+def test_the_command_line_imports_no_network_stack():
+    # xml.sax.saxutils alone pulled in urllib.request, http.client, ssl and
+    # email: ~7 MB of resident memory at every start of the command line
+    code = (
+        "import sys, klcograph.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "{'email', 'http', 'ssl', 'urllib', 'xml'}))"
+    )
+    src = str(Path(klcograph.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"

@@ -134,6 +134,60 @@ def test_oracle_at_the_sizes_the_cli_serves():
             assert least == 0 or not is_kl_colourable_exhaustive(g, k, least - 1)
 
 
+# kappa_hat_oracle and lambda_hat_oracle of G(n, p), n = 9..12, drawn in this
+# order from random.Random(29) with the densities below, each n in turn
+_PINNED_AT_CLI_SIZES = [
+    ((2, 2, 1, 1, 1, 1, 1), (7, 2)),
+    ((3, 2, 2, 1), (4, 3, 1)),
+    ((4, 2, 1, 1), (4, 2, 1, 1)),
+    ((3, 3, 2), (3, 3, 2)),
+    ((4, 2, 1, 1), (4, 2, 1, 1)),
+    ((5, 2, 1), (3, 2, 1, 1, 1)),
+    ((3, 2, 2, 1, 1), (5, 3, 1)),
+    ((4, 2, 2, 1), (4, 3, 1, 1)),
+    ((4, 2, 2, 1, 1), (5, 3, 1, 1)),
+    ((4, 3, 1, 1), (4, 2, 2, 1)),
+    ((4, 3, 1, 1), (4, 2, 2, 1)),
+    ((7, 2, 1), (3, 2, 1, 1, 1, 1, 1)),
+    ((3, 2, 2, 1, 1, 1, 1), (7, 3, 1)),
+    ((4, 3, 1, 1, 1), (5, 2, 2, 1)),
+    ((4, 3, 2, 1), (4, 3, 2, 1)),
+    ((4, 3, 2, 1, 1), (5, 3, 2, 1)),
+    ((4, 3, 1, 1, 1), (5, 2, 2, 1)),
+    ((6, 4, 1), (3, 2, 2, 2, 1, 1)),
+    ((3, 2, 2, 1, 1, 1), (6, 3, 1)),
+    ((4, 3, 2, 1, 1, 1), (6, 3, 2, 1)),
+    ((4, 3, 2, 1), (4, 3, 2, 1)),
+    ((4, 3, 2, 1, 1), (5, 3, 2, 1)),
+    ((5, 3, 2, 1), (4, 3, 2, 1, 1)),
+    ((5, 4, 2), (3, 3, 2, 2, 1)),
+]
+
+
+def test_oracle_pinned_on_non_cographs_at_the_cli_sizes():
+    # conjugacy alone would keep a fault that both engines share
+    rng = random.Random(29)
+    graphs = [
+        random_graph(n, p, rng)
+        for n in range(9, 13)
+        for p in (0.25, 0.35, 0.45, 0.55, 0.65, 0.75)
+    ]
+    got = [(kappa_hat_oracle(g).entries, lambda_hat_oracle(g).entries) for g in graphs]
+    assert got == _PINNED_AT_CLI_SIZES
+
+
+def test_kappa_oracle_matches_exhaustive_partition_search():
+    # entry l is the least k with a (k,l)-colouring; past the end it is 0
+    rng = random.Random(30)
+    for n in range(1, 9):
+        for p in (0.2, 0.35, 0.5, 0.65, 0.8):
+            g = random_graph(n, p, rng)
+            entries = kappa_hat_oracle(g).entries
+            for l in range(n + 1):
+                least = next(k for k in range(n + 1) if is_kl_colourable_exhaustive(g, k, l))
+                assert least == (entries[l] if l < len(entries) else 0), (list(g.edges()), l)
+
+
 def test_colourability_routes_agree():
     rng = random.Random(22)
     for _ in range(60):
