@@ -15,7 +15,6 @@ from .certificate import (
 from .cotree import (
     Cotree,
     CotreeNode,
-    NotACographError,
     P4Witness,
     build_cotree,
     check_cotree,
@@ -25,7 +24,6 @@ from .cotree import (
     cotree_to_json,
     cotree_to_text,
     evaluate_cotree,
-    find_p4,
 )
 from .ferrers import (
     FerrersRepresentation,
@@ -52,12 +50,8 @@ from .oracle import (
     BudgetExceededError,
     OracleBudget,
     box_cograph_dimension,
-    chromatic_number_exact,
-    is_box_cograph_oracle,
     is_kl_colourable_exhaustive,
-    is_kl_colourable_oracle,
     kappa_hat_oracle,
-    kappa_oracle,
     lambda_hat_oracle,
 )
 from .sequences import (

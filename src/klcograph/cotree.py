@@ -28,10 +28,6 @@ import weakref
 from .graphs import Graph
 
 
-class NotACographError(ValueError):
-    """Raised when an operation requiring a cograph receives a P4."""
-
-
 @dataclass(frozen=True)
 class P4Witness:
     """Four vertices a-b-c-d inducing a path: ab, bc, cd edges; ac, ad, bd non-edges."""
@@ -62,13 +58,13 @@ class CotreeNode:
     """Node of a tree given to, or read from, a ``Cotree``.  Leaves carry a
     vertex id, internal nodes a 0/1 label.
 
-    ``size`` is the node's leaf count (1 at a leaf from the start) and ``big``
-    the index of its first child with the most leaves; ``Cotree.root`` builds
-    these from the lists with both set.  The constructor reads them once and
-    keeps none.  Leaves share one empty tuple of ``children`` unless given a list.
+    ``size`` is the node's leaf count (1 at a leaf from the start), which
+    ``Cotree.root`` sets at every internal node and the ``Cotree``
+    constructor never reads.  Leaves share one empty tuple of ``children``
+    unless given a list.
     """
 
-    __slots__ = ("label", "vertex", "children", "size", "big", "__weakref__")
+    __slots__ = ("label", "vertex", "children", "size", "__weakref__")
 
     def __init__(
         self,
@@ -80,16 +76,6 @@ class CotreeNode:
         self.vertex = vertex
         self.children = ([] if vertex is None else ()) if children is None else children
         self.size = 0 if vertex is None else 1
-        self.big = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.vertex is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_leaf:
-            return f"Leaf({self.vertex})"
-        return f"Node({self.label}, size={self.size})"
 
 
 # Codes that no well-formed cotree has, kept for the one check to reject in
@@ -170,16 +156,15 @@ class Cotree:
 
     @property
     def root(self) -> CotreeNode:
-        """The tree as nodes, each with its ``size`` and ``big``."""
+        """The tree as nodes, each with its ``size``."""
         view = vars(self).get("_view")  # a weak reference is never false
         root = view and view()
         if root is not None:
             return root
 
-        def internal(label: int, kids: list[CotreeNode], big: int) -> CotreeNode:
+        def internal(label: int, kids: list[CotreeNode], _big: int) -> CotreeNode:
             node = CotreeNode(label=label, children=kids)
             node.size = sum([kid.size for kid in kids])
-            node.big = big
             return node
 
         # CotreeNode(None, v) is the leaf of v, with its size
@@ -408,22 +393,6 @@ def _p4_in_module(g: Graph, s: set[int]) -> P4Witness:
         if not n1 <= n2:
             return P4Witness(r1, min(n1 - n2), min(n2 - n1), r2)
     raise RuntimeError("no induced P4 in a prime vertex set")
-
-
-def find_p4(g: Graph) -> P4Witness:
-    """Locate an induced P4; raises NotACographError if there is none.
-
-    Runs the decomposition of ``build_cotree`` and reads the P4 off the
-    first vertex set that does not split, so it costs what recognition
-    costs: O(n^2) set operations per cotree level, O(n^3) in the worst case,
-    and O(n^2) for the extraction.  Measured on the deep alternating family
-    with one pair flipped, it grows 3.4-4.3x per doubling of n (n =
-    500..2000, 0.2 s at n = 2000), about as the edge count.
-    """
-    found = _decompose(g) if g.n else None
-    if not isinstance(found, P4Witness):
-        raise NotACographError("graph contains no induced P4")
-    return found
 
 
 def build_cotree(g: Graph) -> Cotree | P4Witness:

@@ -129,11 +129,6 @@ class _Engine:
         seqs = [self.seq(mask ^ s) for s in _maximal_cliques(adj, mask)]
         return seqs[0] if len(seqs) == 1 else tuple(map(min, *seqs))
 
-    def kappa(self, mask: int, l: int) -> int:
-        """Least k such that the induced subgraph is (k,l)-colourable."""
-        s = self.seq(mask)
-        return s[l] if l < len(s) else 0
-
 
 def _engines(g: Graph, budget: OracleBudget) -> tuple[_Engine, _Engine]:
     """The engine of g and the engine of its complement."""
@@ -151,21 +146,11 @@ def _sequence(eng: _Engine) -> PartitionSequence:
     return PartitionSequence(eng.seq((1 << eng.n) - 1))
 
 
-def chromatic_number_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Entry 0 of the kappa sequence, which costs the whole sequence."""
-    return _engines(g, budget)[0].kappa((1 << g.n) - 1, 0)
-
-
-def kappa_oracle(g: Graph, l: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Entry l of the kappa sequence, 0 past its end; any entry costs the
-    whole sequence."""
-    _check_natural(l)
-    return _engines(g, budget)[0].kappa((1 << g.n) - 1, l)
-
-
 def kappa_hat_oracle(
     g: Graph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> PartitionSequence:
+    """Kappa sequence: chi is ``kappa_at(s, 0)``, kappa_l is ``kappa_at(s, l)``
+    and (k,l)-colourability is ``is_kl_colourable(s, k, l)``."""
     return _sequence(_engines(g, budget)[0])
 
 
@@ -175,13 +160,6 @@ def lambda_hat_oracle(
     """Lambda sequence: by definition lambda_k(G) = kappa_k(complement of G),
     so this is the kappa engine run on the complement's masks."""
     return _sequence(_engines(g, budget)[1])
-
-
-def is_kl_colourable_oracle(
-    g: Graph, k: int, l: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> bool:
-    _check_natural(k, l)
-    return kappa_oracle(g, l, budget) <= k
 
 
 def is_kl_colourable_exhaustive(g: Graph, k: int, l: int) -> bool:
@@ -266,8 +244,8 @@ def box_cograph_dimension(
         eng = engs[side]
         comps = _components_mask(eng.adj, mask)
         if len(comps) > 1:
-            chi = eng.kappa(comps[0], 0)
-            result = all(eng.kappa(c, 0) == chi and member(side, c) for c in comps)
+            chi = eng.seq(comps[0])[0]
+            result = all(eng.seq(c)[0] == chi and member(side, c) for c in comps)
         elif len(_components_mask(eng.co, mask)) > 1:
             result = member(1 - side, mask)
         else:
@@ -277,12 +255,4 @@ def box_cograph_dimension(
 
     if not member(0, full):
         return None
-    return (engs[0].kappa(full, 0), engs[1].kappa(full, 0))
-
-
-def is_box_cograph_oracle(
-    g: Graph, k: int, l: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> bool:
-    """True iff g is a box cograph of dimension k times l."""
-    dim = box_cograph_dimension(g, budget)
-    return dim == (k, l)
+    return (engs[0].seq(full)[0], engs[1].seq(full)[0])

@@ -74,18 +74,9 @@ class PartitionSequence(tuple):
         return cls.from_runs(runs)
 
     @property
-    def entries(self) -> tuple[int, ...]:
-        """The entries as a plain tuple."""
-        return tuple(self)
-
-    @property
     def runs(self) -> tuple[tuple[int, int], ...]:
         """Run-length form: (value, multiplicity) with strictly decreasing values."""
         return tuple((e, len(list(group))) for e, group in groupby(self))
-
-    @property
-    def total(self) -> int:
-        return sum(self)
 
     def to_text(self) -> str:
         return ",".join(map(str, self))

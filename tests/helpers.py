@@ -184,7 +184,7 @@ def subcotree(root: CotreeNode, vertices) -> Cotree:
     rank = {v: i for i, v in enumerate(sorted(x.vertex for x in order if x.vertex in keep))}
     built: dict[int, CotreeNode | None] = {}
     for x in order:
-        if x.is_leaf:
+        if not x.children:
             built[id(x)] = CotreeNode(vertex=rank[x.vertex]) if x.vertex in rank else None
             continue
         kids = [b for c in x.children if (b := built[id(c)]) is not None]

@@ -8,7 +8,6 @@ from klcograph import (
     Cotree,
     CotreeNode,
     Graph,
-    NotACographError,
     P4Witness,
     build_cotree,
     build_ferrers,
@@ -21,7 +20,6 @@ from klcograph import (
     complement,
     deep_alternating_cotree,
     evaluate_cotree,
-    find_p4,
     induced_subgraph,
     kappa_hat,
     kappa_hat_naive,
@@ -79,17 +77,19 @@ def test_p4_detected_with_valid_witness():
     assert w.vertices() == (0, 1, 2, 3)
 
 
-def test_find_p4_on_cycles():
+def test_build_cotree_finds_a_p4_on_cycles():
     for n in (5, 6, 7):
         g = cycle_graph(n)
-        assert find_p4(g).holds_in(g)
+        w = build_cotree(g)
+        assert isinstance(w, P4Witness) and w.holds_in(g)
 
 
-def test_find_p4_rejects_cographs_and_the_empty_graph():
-    for g in (Graph.from_edges(0, []), empty_graph(1), complete_graph(5),
+def test_build_cotree_on_cographs_and_the_empty_graph():
+    for g in (empty_graph(1), complete_graph(5),
               evaluate_cotree(deep_alternating_cotree(60, 1))):
-        with pytest.raises(NotACographError):
-            find_p4(g)
+        assert isinstance(build_cotree(g), Cotree)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        build_cotree(Graph.from_edges(0, []))
 
 
 def test_witness_exactly_when_brute_force_finds_a_p4():
@@ -101,11 +101,8 @@ def test_witness_exactly_when_brute_force_finds_a_p4():
         if has_induced_p4(g):
             with_p4 += 1
             assert isinstance(out, P4Witness) and out.holds_in(g)
-            assert find_p4(g).holds_in(g)
         else:
             assert isinstance(out, Cotree)
-            with pytest.raises(NotACographError):
-                find_p4(g)
     assert 100 < with_p4 < 350
 
 
@@ -144,9 +141,9 @@ def test_near_cograph_witness_runs_through_the_flipped_pair(kind):
         for base in bases:
             g, (u, v) = _near_cograph(evaluate_cotree(base), rng, kind)
             assert (n - 1 - v) % 2 == kind & 1 and (v - u) % 2 == kind >> 1
-            for w in (build_cotree(g), find_p4(g)):
-                assert isinstance(w, P4Witness) and w.holds_in(g)
-                assert {u, v} <= set(w.vertices())
+            w = build_cotree(g)
+            assert isinstance(w, P4Witness) and w.holds_in(g)
+            assert {u, v} <= set(w.vertices())
 
 
 def _base_cotree(kind, n, arg):
@@ -156,8 +153,7 @@ def _base_cotree(kind, n, arg):
 
 def test_recognition_output_is_pinned():
     # A cograph's canonical cotree is unique; which P4 a near-cograph
-    # reports is the decomposition's choice, and build_cotree and find_p4
-    # make the same one.
+    # reports is the decomposition's choice.
     for (kind, n, arg), text in (
         (("deep", 21, 0), "0(20,1(19,0(18,1(17,0(16,1(15,0(14,1(13,0(12,1(11,0(10,1(9,0(8,"
          "1(7,0(6,1(5,0(4,1(3,0(2,1(0,1))))))))))))))))))))"),
@@ -185,7 +181,7 @@ def test_recognition_output_is_pinned():
             evaluate_cotree(_base_cotree(kind, n, arg)), random.Random(1300 + n), flip
         )
         assert flipped == pair
-        assert find_p4(g).vertices() == build_cotree(g).vertices() == p4
+        assert build_cotree(g).vertices() == p4
 
 
 def _reference_components(g, s):
@@ -226,7 +222,7 @@ def test_recognition_of_plain_set_adjacency_matches_frozensets():
         plain = Graph(g.n, tuple(set(a) for a in g.adj))
         out, plain_out = build_cotree(g), build_cotree(plain)
         if isinstance(out, P4Witness):
-            assert plain_out == out == find_p4(plain)
+            assert plain_out == out
         else:
             assert cotree_to_text(plain_out) == cotree_to_text(out)
 
@@ -289,7 +285,7 @@ def test_cotree_alternation_invariant():
         t = build_cotree(g)
         for node in postorder(t.root):
             for child in node.children:
-                if not child.is_leaf:
+                if child.children:
                     assert child.label != node.label
 
 
@@ -314,7 +310,7 @@ def test_text_and_json_round_trips():
         # every producer gives its leaves the one empty tuple, not a list each
         deep = deep_alternating_cotree(t.n)
         for tree in (t, deep, canon, from_text, from_json, complement_cotree(t)):
-            assert all(x.children == () for x in postorder(tree.root) if x.is_leaf)
+            assert all(x.children == () for x in postorder(tree.root) if not x.children)
     # named vertices: the text form carries ids, so it reads back the same graph
     for g in (
         Graph.from_edges(3, [(0, 1)], ["2", "0", "1"]),
@@ -404,7 +400,7 @@ def test_json_reader_matches_json_loads():
 
 def test_deep_tree_does_not_hit_recursion_limit():
     t = deep_alternating_cotree(5000)
-    assert sorted(x.vertex for x in postorder(t.root) if x.is_leaf) == list(range(5000))
+    assert sorted(x.vertex for x in postorder(t.root) if not x.children) == list(range(5000))
     text = cotree_to_text(t)
     assert cotree_to_text(cotree_from_text(text)) == text
     assert cotree_to_json(t).count('"vertex"') == 5000
@@ -419,11 +415,11 @@ def test_lists_at_depth_ten_to_the_five():
     back = cotree_from_text(cotree_to_text(t))
     assert back == t
     kappa = kappa_hat(back)
-    assert kappa.total == n and kappa_hat(complement_cotree(t)) == lambda_hat(t)
+    assert sum(kappa) == n and kappa_hat(complement_cotree(t)) == lambda_hat(t)
     assert validate_ferrers_against_cotree(t, build_ferrers(t))
     node, depth = t.root, 0
     while node.children:
-        assert node.size == n - depth and node.children[1].is_leaf
+        assert node.size == n - depth and not node.children[1].children
         node, depth = node.children[0], depth + 1
     assert (depth, node.vertex) == (n - 1, 0)
     # the lists pickle at any depth; the weak reference to the view does not go along
@@ -448,9 +444,9 @@ def _repeats_a_label(t):
     return any(
         c.label == x.label
         for x in postorder(t.root)
-        if not x.is_leaf
+        if x.children
         for c in x.children
-        if not c.is_leaf
+        if c.children
     )
 
 
@@ -459,7 +455,7 @@ def test_check_cotree_rejects_repeated_labels_in_cotree():
     root = CotreeNode(label=1, children=[inner, CotreeNode(vertex=2)])
     t = Cotree(root, 3)  # the constructor allows the repeat: it is K3 all the same
     view = t.root
-    assert (view.size, view.big, view.children[0].size) == (3, 0, 2)
+    assert (view.size, t.bigs[-1], view.children[0].size) == (3, 0, 2)
     assert kappa_hat(t) == kappa_hat(build_cotree(complete_graph(3)))
     with pytest.raises(ValueError, match="repeats parent label"):
         check_cotree(t)
@@ -506,7 +502,7 @@ def test_bool_labels_are_rejected():
 
 
 def _leaf_count(node):
-    return sum(1 for x in postorder(node) if x.is_leaf)
+    return sum(1 for x in postorder(node) if not x.children)
 
 
 def _first_largest(node):
@@ -529,17 +525,18 @@ def test_constructor_sets_sizes_of_hand_built_trees_and_checks_n():
     below = CotreeNode(label=0, children=[spine, CotreeNode(vertex=8)])
     wide = CotreeNode(label=1, children=[CotreeNode(vertex=6), CotreeNode(vertex=7), below])
     t = Cotree(wide, 9)
-    for node in postorder(t.root):
+    for node, big in zip(postorder(t.root), t.bigs):
         assert node.size == _leaf_count(node)
-        assert node.big == _first_largest(node)
+        assert big == _first_largest(node)
     assert t.root.size == 9
-    assert [x.big for x in postorder(t.root) if not x.is_leaf] == [0, 1, 1, 1, 1, 0, 2]
+    assert [big for big, count in zip(t.bigs, t.counts) if count] == [0, 1, 1, 1, 1, 0, 2]
     # ties go to the first largest child: sizes 2, 3, 3 give 1, and 1, 1 give 0
     pair = CotreeNode(label=1, children=[CotreeNode(vertex=0), CotreeNode(vertex=1)])
     three = [CotreeNode(label=1, children=[CotreeNode(vertex=v) for v in vs])
              for vs in ((2, 3, 4), (5, 6, 7))]
     tied = Cotree(CotreeNode(label=0, children=[pair, *three]), 8)
-    assert (tied.root.big, tied.root.children[0].big) == (1, 0)
+    # the root comes last in postorder, and pair third, after its two leaves
+    assert (tied.bigs[-1], tied.bigs[2]) == (1, 0)
     check_cotree(t)
     for n in (-1, 0, 8, 10, 10**12):  # no n-sized table is allocated for 10**12
         with pytest.raises(ValueError):
@@ -577,8 +574,8 @@ def test_random_cotree_output_is_pinned():
     ):
         t = random_cotree(n, seed, max_children)
         assert cotree_to_text(t) == text
-        for node in postorder(t.root):
-            assert (node.size, node.big) == (_leaf_count(node), _first_largest(node))
+        for node, big in zip(postorder(t.root), t.bigs):
+            assert (node.size, big) == (_leaf_count(node), _first_largest(node))
 
 
 def test_build_cotree_is_linear_on_edgeless_graphs():

@@ -44,14 +44,14 @@ def test_single_vertex_representation():
 def test_clique_is_one_column():
     t = build_cotree(complete_graph(4))
     f = build_ferrers(t)
-    assert f.shape.entries == (1, 1, 1, 1)
+    assert f.shape == (1, 1, 1, 1)
     assert len(f.columns) == 1
 
 
 def test_union_of_cliques_shape():
     t = build_cotree(l_copies_of_k_clique(2, 3))
     f = build_ferrers(t)
-    assert f.shape.entries == (2, 2, 2)
+    assert f.shape == (2, 2, 2)
     assert [len(c) for c in f.columns] == [3, 3]
     assert f.columns == tuple(zip(*f.rows))
 

@@ -10,17 +10,15 @@ from klcograph import (
     PartitionSequence,
     box_cograph_dimension,
     build_cotree,
-    chromatic_number_exact,
     complement,
     conjugate,
     disjoint_union,
     evaluate_cotree,
-    is_box_cograph_oracle,
+    is_kl_colourable,
     is_kl_colourable_exhaustive,
-    is_kl_colourable_oracle,
+    kappa_at,
     kappa_hat,
     kappa_hat_oracle,
-    kappa_oracle,
     lambda_hat_oracle,
     oracle,
     random_cotree,
@@ -39,21 +37,22 @@ from helpers import (
 
 
 def test_chromatic_number_small_cases():
-    assert chromatic_number_exact(empty_graph(4)) == 1
-    assert chromatic_number_exact(complete_graph(5)) == 5
-    assert chromatic_number_exact(cycle_graph(5)) == 3
-    assert chromatic_number_exact(cycle_graph(6)) == 2
-    assert chromatic_number_exact(path_graph(4)) == 2
+    # chi is entry 0 of the kappa sequence
+    assert kappa_at(kappa_hat_oracle(empty_graph(4)), 0) == 1
+    assert kappa_at(kappa_hat_oracle(complete_graph(5)), 0) == 5
+    assert kappa_at(kappa_hat_oracle(cycle_graph(5)), 0) == 3
+    assert kappa_at(kappa_hat_oracle(cycle_graph(6)), 0) == 2
+    assert kappa_at(kappa_hat_oracle(path_graph(4)), 0) == 2
 
 
 def test_kappa_oracle_worked_example():
-    assert kappa_hat_oracle(EXAMPLE_7).entries == (3, 3, 1)
-    assert lambda_hat_oracle(EXAMPLE_7).entries == (3, 2, 2)
+    assert kappa_hat_oracle(EXAMPLE_7) == (3, 3, 1)
+    assert lambda_hat_oracle(EXAMPLE_7) == (3, 2, 2)
 
 
 def test_kappa_sum_differs_from_n_outside_cographs():
-    assert kappa_hat_oracle(path_graph(4)).entries == (2, 1)
-    assert kappa_hat_oracle(cycle_graph(5)).entries == (3, 2, 1)
+    assert kappa_hat_oracle(path_graph(4)) == (2, 1)
+    assert kappa_hat_oracle(cycle_graph(5)) == (3, 2, 1)
 
 
 def test_oracle_matches_cotree_calculus_on_cographs():
@@ -76,10 +75,10 @@ def test_lambda_oracle_matches_exhaustive_partition_search():
     rng = random.Random(26)
     for _ in range(60):
         g = random_graph(rng.randint(1, 7), rng.random(), rng)
-        entries = lambda_hat_oracle(g).entries
-        for k in range(len(entries) + 1):
+        seq = lambda_hat_oracle(g)
+        for k in range(len(seq) + 1):
             least = next(l for l in range(g.n + 1) if is_kl_colourable_exhaustive(g, k, l))
-            assert least == (entries[k] if k < len(entries) else 0)
+            assert least == kappa_at(seq, k)
 
 
 def _brute_maximal_cliques(adj, mask):
@@ -127,9 +126,9 @@ def test_oracle_at_the_sizes_the_cli_serves():
     # and the second route at its limit of 8 vertices: entry k is the least l
     for p in densities:
         g = random_graph(8, p, rng)
-        entries = lambda_hat_oracle(g).entries
-        for k in range(len(entries) + 1):
-            least = entries[k] if k < len(entries) else 0
+        seq = lambda_hat_oracle(g)
+        for k in range(len(seq) + 1):
+            least = kappa_at(seq, k)
             assert is_kl_colourable_exhaustive(g, k, least)
             assert least == 0 or not is_kl_colourable_exhaustive(g, k, least - 1)
 
@@ -172,7 +171,7 @@ def test_oracle_pinned_on_non_cographs_at_the_cli_sizes():
         for n in range(9, 13)
         for p in (0.25, 0.35, 0.45, 0.55, 0.65, 0.75)
     ]
-    got = [(kappa_hat_oracle(g).entries, lambda_hat_oracle(g).entries) for g in graphs]
+    got = [(kappa_hat_oracle(g), lambda_hat_oracle(g)) for g in graphs]
     assert got == _PINNED_AT_CLI_SIZES
 
 
@@ -182,39 +181,42 @@ def test_kappa_oracle_matches_exhaustive_partition_search():
     for n in range(1, 9):
         for p in (0.2, 0.35, 0.5, 0.65, 0.8):
             g = random_graph(n, p, rng)
-            entries = kappa_hat_oracle(g).entries
+            seq = kappa_hat_oracle(g)
             for l in range(n + 1):
                 least = next(k for k in range(n + 1) if is_kl_colourable_exhaustive(g, k, l))
-                assert least == (entries[l] if l < len(entries) else 0), (list(g.edges()), l)
+                assert least == kappa_at(seq, l), (list(g.edges()), l)
 
 
 def test_colourability_routes_agree():
     rng = random.Random(22)
     for _ in range(60):
         g = random_graph(rng.randint(1, 7), rng.random(), rng)
+        seq = kappa_hat_oracle(g)
         for k in range(4):
             for l in range(4):
-                assert is_kl_colourable_oracle(g, k, l) == is_kl_colourable_exhaustive(g, k, l)
+                assert is_kl_colourable(seq, k, l) == is_kl_colourable_exhaustive(g, k, l)
 
 
 def test_kappa_oracle_monotone_in_l():
     rng = random.Random(23)
     for _ in range(20):
         g = random_graph(rng.randint(1, 8), 0.5, rng)
-        values = [kappa_oracle(g, l) for l in range(g.n + 1)]
+        seq = kappa_hat_oracle(g)
+        values = [kappa_at(seq, l) for l in range(g.n + 1)]
         assert values == sorted(values, reverse=True)
         assert values[-1] == 0
 
 
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
-        chromatic_number_exact(empty_graph(13), OracleBudget(max_vertices=12))
+        kappa_hat_oracle(empty_graph(13), OracleBudget(max_vertices=12))
     with pytest.raises(BudgetExceededError):
         is_kl_colourable_exhaustive(empty_graph(9), 1, 1)
     # raising the budget lifts the limit, and the sparse extremes stay cheap
     budget = OracleBudget(max_vertices=13)
-    assert chromatic_number_exact(empty_graph(13), budget) == 1
-    assert kappa_hat_oracle(empty_graph(13), budget) == PartitionSequence.constant(1, 13)
+    seq = kappa_hat_oracle(empty_graph(13), budget)
+    assert kappa_at(seq, 0) == 1
+    assert seq == PartitionSequence.constant(1, 13)
     assert lambda_hat_oracle(complete_graph(13), budget) == PartitionSequence.constant(1, 13)
 
 
@@ -235,10 +237,10 @@ def test_exhaustive_search_allocates_at_most_n_parts():
 
 def test_negative_parameters_raise_value_error():
     g = cycle_graph(5)
+    seq = kappa_hat_oracle(g)
     for call in (
-        lambda: kappa_oracle(g, -2),
-        lambda: is_kl_colourable_oracle(g, 1, -1),
-        lambda: is_kl_colourable_oracle(g, -1, 1),
+        lambda: is_kl_colourable(seq, 1, -1),
+        lambda: is_kl_colourable(seq, -1, 1),
         lambda: is_kl_colourable_exhaustive(g, -1, 3),
         lambda: is_kl_colourable_exhaustive(g, 3, -1),
     ):
@@ -306,8 +308,8 @@ def test_box_cograph_closed_under_complement():
 
 def test_box_cograph_dimension_is_chi_theta():
     g = l_copies_of_k_clique(3, 2)
-    assert is_box_cograph_oracle(g, 2, 3)
-    assert not is_box_cograph_oracle(g, 3, 2)
+    assert box_cograph_dimension(g) == (2, 3)
+    assert box_cograph_dimension(g) != (3, 2)
 
 
 def test_box_cograph_members_have_constant_kappa():
@@ -317,4 +319,4 @@ def test_box_cograph_members_have_constant_kappa():
         dim = box_cograph_dimension(g)
         if dim is not None:
             k, l = dim
-            assert kappa_hat_oracle(g).entries == (k,) * l
+            assert kappa_hat_oracle(g) == (k,) * l
