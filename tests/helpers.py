@@ -174,6 +174,49 @@ def cotree_from_text_reference(text: str) -> Cotree:
     return t
 
 
+def random_cotree_reference(
+    n: int,
+    seed: int | random.Random = 0,
+    max_children: int = 4,
+) -> Cotree:
+    """The generator as first written, drawing through ``randint`` and
+    ``sample``: the reference for ``random_cotree``, which must make the
+    same draws and return the same lists."""
+    if n < 1:
+        raise ValueError("need at least one leaf")
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    # the walk meets the nodes in the reverse of postorder, so it writes the
+    # lists backwards, and the leaves right to left
+    codes: list[int] = []
+    counts: list[int] = []
+    bigs: list[int] = []
+    leaves = n
+    # (budget, forced label or None)
+    stack: list[tuple[int, int | None]] = [(n, None)]
+    while stack:
+        budget, label = stack.pop()
+        if budget == 1:
+            leaves -= 1
+            codes.append(leaves)
+            counts.append(0)
+            bigs.append(0)
+            continue
+        if label is None:
+            label = rng.randrange(2)
+        t = rng.randint(2, min(max_children, budget))
+        cuts = sorted(rng.sample(range(1, budget), t - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [budget])]
+        codes.append(~label)
+        counts.append(t)
+        bigs.append(parts.index(max(parts)))
+        below = 1 - label
+        stack.extend([(part, below) for part in parts])
+    codes.reverse()
+    counts.reverse()
+    bigs.reverse()
+    return Cotree._of(codes, counts, bigs, n)
+
+
 def subcotree(root: CotreeNode, vertices) -> Cotree:
     """A copy of the cotree under ``root`` for the subgraph that ``vertices``
     induce, leaves renumbered by rank.  A node left with one child is merged

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import random
 
@@ -41,6 +42,7 @@ from helpers import (
     has_induced_p4_through,
     path_graph,
     postorder,
+    random_cotree_reference,
     random_graph,
     subcotree,
 )
@@ -576,6 +578,72 @@ def test_random_cotree_output_is_pinned():
         assert cotree_to_text(t) == text
         for node, big in zip(postorder(t.root), t.bigs):
             assert (node.size, big) == (_leaf_count(node), _first_largest(node))
+
+
+def _sample_branches(t):
+    """(more than 5 cuts, drawn from a pool) for each internal node of ``t``:
+    ``sample(range(1, size), cuts)`` draws from a pool of the size - 1 cuts
+    while that list is smaller than a set of that many cuts."""
+    found, sizes = set(), []
+    for count in t.counts:
+        size = sum(sizes[-count:]) if count else 1
+        del sizes[len(sizes) - count:]
+        sizes.append(size)
+        if count:
+            cuts = count - 1
+            setsize = 21 if cuts <= 5 else 21 + 4 ** math.ceil(math.log(cuts * 3, 4))
+            found.add((cuts > 5, size - 1 <= setsize))
+    return found
+
+
+def _draws_as_the_reference(n, seed, max_children):
+    """Whether ``random_cotree`` gives the reference's lists, for an int seed
+    also when given it as an int, and leaves the generator in the
+    reference's state; a bool, so that a failure names its case instead of
+    comparing long lists."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    reference_rng = random.Random()
+    reference_rng.setstate(rng.getstate())
+    trees = [
+        random_cotree(n, rng, max_children),
+        random_cotree_reference(n, reference_rng, max_children),
+    ]
+    if rng is not seed:
+        trees += [random_cotree(n, seed, max_children), random_cotree_reference(n, seed, max_children)]
+    lists = {(tuple(t.codes), tuple(t.counts), tuple(t.bigs), t.n) for t in trees}
+    return len(lists) == 1 and rng.getstate() == reference_rng.getstate()
+
+
+def test_random_cotree_makes_the_reference_draws():
+    # the same lists and the same generator state as randint and sample
+    # give, on both of sample's branches, with at most and more than 5 cuts
+    branches = set()
+    shared = random.Random(99)
+    for n in (1, 2, 3, 5, 21, 22, 23, 24, 200, 1000):
+        for max_children in (2, 3, 4, 6, 7, 8, 16, 64):
+            for seed in (0, 1, 2026, 2**40 + 3):
+                assert _draws_as_the_reference(n, seed, max_children), (n, seed, max_children)
+                branches |= _sample_branches(random_cotree(n, seed, max_children))
+            # one generator through consecutive calls
+            assert _draws_as_the_reference(n, shared, max_children), (n, "shared", max_children)
+    assert branches == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_generator_arguments_are_checked_before_any_draw():
+    # unchecked, max_children 1 met randrange's empty range at n = 5 and
+    # none at n = 1, a float passed with a DeprecationWarning, and True as n
+    # gave a tree whose n was True
+    bad = ((5, 1), (1, 1), (5, 4.0), (3.0, 4), (True, 4), (0, 4), (-2, 4), (5, True))
+    for n, max_children in bad:
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="must be an int of at least"):
+            random_cotree(n, rng, max_children)
+        assert rng.getstate() == state
+    for n in (True, 0, 2.0):
+        with pytest.raises(ValueError, match="n must be an int of at least 1"):
+            deep_alternating_cotree(n)
+    assert random_cotree(1, 0, 2).n == deep_alternating_cotree(1).n == 1
 
 
 def test_build_cotree_is_linear_on_edgeless_graphs():

@@ -118,7 +118,7 @@ def test_one_bottom_up_walk():
 # The cotree's lists and the node attributes of its view, which only
 # cotree.py reads, so that the layout can change behind the constructor,
 # the view and _fold.
-LAYOUT = {"codes", "counts", "bigs", "children", "size", "big"}
+LAYOUT = {"codes", "counts", "bigs", "children", "size"}
 LAYOUT_MODULES = {"cotree.py"}
 
 
@@ -145,7 +145,7 @@ def test_certify_builds_no_ferrers_diagram():
     assert not found, "the Ferrers diagram in certificate.py: " + ", ".join(found)
 
 
-# The definitions that may write a node's size and big: the node's own
+# The definitions that may write a node's size: the node's own
 # __init__, and the view that builds the nodes from the lists.
 SIZERS = {("cotree.py", "CotreeNode.__init__"), ("cotree.py", "Cotree.root")}
 
@@ -169,10 +169,10 @@ def test_one_walk_writes_the_sizes():
         for node in ast.walk(part)
         if isinstance(node, ast.Attribute)
         and isinstance(node.ctx, ast.Store)
-        and node.attr in ("size", "big")
+        and node.attr == "size"
         and (name, where) not in SIZERS
     ]
-    assert not found, "size or big written outside Cotree.root: " + ", ".join(found)
+    assert not found, "size written outside Cotree.root: " + ", ".join(found)
 
 
 # The definitions that turn nested input into the lists, or the lists into
