@@ -66,7 +66,6 @@ from .sequences import (
     kappa_hat,
     kappa_hat_naive,
     lambda_hat,
-    lambda_hat_naive,
     star_merge,
     validate_colouring,
 )

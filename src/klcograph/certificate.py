@@ -151,7 +151,7 @@ def _colouring(t: Cotree, kept: list, k: int, l: int) -> KLColouring:
 
     # the root's demand; a lone vertex's is its part
     root = (k, l, 0, 0) if kept else (independent if k else cliques)[0]
-    _descend(t, kept, root, list.append, internal)
+    _descend(t, kept, root, internal)
     return KLColouring(
         tuple(frozenset(independent[i]) for i in sorted(independent)),
         tuple(frozenset(cliques[i]) for i in sorted(cliques)),
@@ -195,5 +195,5 @@ def _box(t: Cotree, kept: list, k: int, l: int) -> BoxCertificate:
         out[big] = (k, l) if parts[big] is not None else box
         return out
 
-    _descend(t, kept, (k, l) if kept else box, list.append, internal)
+    _descend(t, kept, (k, l) if kept else box, internal)
     return BoxCertificate(box, k, l)

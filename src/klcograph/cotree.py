@@ -212,13 +212,13 @@ def _unfold(root, parts) -> tuple[list[int], list[int]]:
     return codes, counts
 
 
-def _descend(t: Cotree, kept: list, demand, leaf, internal) -> None:
+def _descend(t: Cotree, kept: list, demand, internal) -> None:
     """The top-down mirror of ``_fold``: the root gets ``demand``, and
     ``internal(label, values, big, demand)`` at an internal node returns its
     children's demands in child order, where ``values`` are the children's
     results that a fold's ``internal`` appended to ``kept``, one flat list,
-    in postorder; ``leaf(demand, vertex)`` at a leaf.  A None demand skips a
-    subtree: none of its nodes gets a call.
+    in postorder.  A leaf's demand is the list its vertex joins.  A None
+    demand skips a subtree: none of its nodes gets a call.
 
     The lists are walked backwards, which meets each node before its
     children and the children right to left, so the internal nodes come in
@@ -238,7 +238,7 @@ def _descend(t: Cotree, kept: list, demand, leaf, internal) -> None:
             if d is None:  # a leaf's count is 0, so nothing is skipped
                 skip = count
             elif code >= 0:
-                leaf(d, code)
+                d.append(code)
             else:
                 push(internal(~code, kept[-count:], big, d))
         if count:
@@ -286,16 +286,20 @@ def _components(g: Graph, vertices: set[int], co: int = 0) -> list[set[int]]:
     return comps
 
 
-def _decompose(g: Graph) -> Cotree | P4Witness:
-    """The canonical cotree of g, or an induced P4 of g.
+def build_cotree(g: Graph) -> Cotree | P4Witness:
+    """Recognize g as a cograph and return its canonical cotree, else a P4.
 
-    Every part of a 0-node is connected and every part of a 1-node is
-    co-connected, so below the root one search per vertex set decides it: a
-    child of a 0-node is split into co-components, a child of a 1-node into
-    components, and a set that does not split is prime.  The root tries
-    components first.  The walk meets the nodes in preorder and writes each
-    into the lists once its children are written.
+    Children at every node are sorted by (leaf count, smallest descendant
+    vertex id) so the output is deterministic.  Every part of a 0-node is
+    connected and every part of a 1-node is co-connected, so below the root
+    one search per vertex set decides it: a child of a 0-node is split into
+    co-components, a child of a 1-node into components, and a set that does
+    not split is prime.  The root tries components first.  The walk meets
+    the nodes in preorder and writes each into the lists once its children
+    are written.
     """
+    if g.n == 0:
+        raise ValueError("cotree construction requires at least one vertex")
     codes: list[int] = []
     counts: list[int] = []
     bigs: list[int] = []
@@ -393,17 +397,6 @@ def _p4_in_module(g: Graph, s: set[int]) -> P4Witness:
         if not n1 <= n2:
             return P4Witness(r1, min(n1 - n2), min(n2 - n1), r2)
     raise RuntimeError("no induced P4 in a prime vertex set")
-
-
-def build_cotree(g: Graph) -> Cotree | P4Witness:
-    """Recognize g as a cograph and return its canonical cotree, else a P4.
-
-    Children at every node are sorted by (leaf count, smallest descendant
-    vertex id) so the output is deterministic.
-    """
-    if g.n == 0:
-        raise ValueError("cotree construction requires at least one vertex")
-    return _decompose(g)
 
 
 def evaluate_cotree(t: Cotree) -> Graph:

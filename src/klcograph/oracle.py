@@ -16,8 +16,10 @@ n = 4, 0.38 ms at n = 8 and 2.8 ms at n = 12 on G(n, p) with p in
 Box-cograph membership follows the recursive definition, except that a
 disconnected graph is a member iff its components are members with one
 chromatic number: by induction on their number, since a disjoint union's
-chromatic number is its parts' largest.  Results are exact; exceeding the
-vertex budget is an error, never an approximation.
+chromatic number is its parts' largest.  A set connected in one graph is
+split in the other, so each set is searched at most once on each side, and
+needs no memo.  Results are exact; exceeding the vertex budget is an error,
+never an approximation.
 """
 
 from __future__ import annotations
@@ -142,16 +144,12 @@ def _engines(g: Graph, budget: OracleBudget) -> tuple[_Engine, _Engine]:
     return _Engine(adj, co), _Engine(co, adj)
 
 
-def _sequence(eng: _Engine) -> PartitionSequence:
-    return PartitionSequence(eng.seq((1 << eng.n) - 1))
-
-
 def kappa_hat_oracle(
     g: Graph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> PartitionSequence:
     """Kappa sequence: chi is ``kappa_at(s, 0)``, kappa_l is ``kappa_at(s, l)``
     and (k,l)-colourability is ``is_kl_colourable(s, k, l)``."""
-    return _sequence(_engines(g, budget)[0])
+    return PartitionSequence(_engines(g, budget)[0].seq((1 << g.n) - 1))
 
 
 def lambda_hat_oracle(
@@ -159,7 +157,7 @@ def lambda_hat_oracle(
 ) -> PartitionSequence:
     """Lambda sequence: by definition lambda_k(G) = kappa_k(complement of G),
     so this is the kappa engine run on the complement's masks."""
-    return _sequence(_engines(g, budget)[1])
+    return PartitionSequence(_engines(g, budget)[1].seq((1 << g.n) - 1))
 
 
 def is_kl_colourable_exhaustive(g: Graph, k: int, l: int) -> bool:
@@ -231,27 +229,19 @@ def box_cograph_dimension(
         return None
     engs = _engines(g, budget)
     full = (1 << g.n) - 1
-    memo: dict[tuple[int, int], bool] = {}
 
     def member(side: int, mask: int) -> bool:
-        # side 0 tests the induced subgraph of g, side 1 that of its complement
+        # side 0 tests the induced subgraph of g, side 1 that of its
+        # complement; a set connected on its side is split on the other
         if mask & (mask - 1) == 0:
             return True  # single vertex
-        key = (side, mask)
-        known = memo.get(key)
-        if known is not None:
-            return known
-        eng = engs[side]
-        comps = _components_mask(eng.adj, mask)
-        if len(comps) > 1:
-            chi = eng.seq(comps[0])[0]
-            result = all(eng.seq(c)[0] == chi and member(side, c) for c in comps)
-        elif len(_components_mask(eng.co, mask)) > 1:
-            result = member(1 - side, mask)
-        else:
-            result = False  # connected in both: contains a P4
-        memo[key] = result
-        return result
+        for side in (side, 1 - side):
+            eng = engs[side]
+            comps = _components_mask(eng.adj, mask)
+            if len(comps) > 1:
+                chi = eng.seq(comps[0])[0]
+                return all(eng.seq(c)[0] == chi and member(side, c) for c in comps)
+        return False  # connected in both: contains a P4
 
     if not member(0, full):
         return None

@@ -11,11 +11,11 @@ and the leaves beside a larger sibling join the node's sequence at once.
 The per-node rule is ``_kappa_rule``, which the certificate module folds
 too: it changes only the big child's list, so every other child's list is
 still that child's kappa after the fold.  ``lambda_hat`` is the conjugate of
-kappa.  The plain-array traversals ``kappa_hat_naive`` and
-``lambda_hat_naive`` are the references that the tests and benchmarks
-compare against; the latter swaps the two operators, so it checks the
-conjugacy on the cotree side.  Every one of them is a per-node rule walked
-by the cotree module's one bottom-up fold.
+kappa.  The plain-array traversal ``kappa_hat_naive`` is the reference
+that the tests and benchmarks compare against; on ``complement_cotree(t)``,
+whose flipped labels swap the two operators, it is lambda's reference, so it
+checks the conjugacy on the cotree side.  Each of the two is a per-node
+rule walked by the cotree module's one bottom-up fold.
 """
 
 from __future__ import annotations
@@ -133,15 +133,11 @@ def is_kl_colourable(s: PartitionSequence, k: int, l: int) -> bool:
 
 def bichromatic_number(s: PartitionSequence) -> int:
     """Least r such that every split k+l = r admits a colouring."""
-    if not len(s):
-        return 0  # the empty graph needs no parts at all
-    return max(s[l] + l for l in range(len(s)))
+    return max((s[l] + l for l in range(len(s))), default=0)  # 0 parts for no vertex
 
 
 def cochromatic_number(s: PartitionSequence) -> int:
     """Least r such that some split k+l = r admits a colouring."""
-    if not len(s):
-        return 0  # the empty graph needs no parts at all
     return min(kappa_at(s, l) + l for l in range(len(s) + 1))
 
 
@@ -149,18 +145,11 @@ def cochromatic_number(s: PartitionSequence) -> int:
 
 
 def kappa_hat_naive(t: Cotree) -> PartitionSequence:
-    """Plain-array traversal: concatenate-and-sort at 0-nodes, add at 1-nodes."""
-    return PartitionSequence(_naive_values(t, star_label=0))
+    """Plain-array traversal: concatenate-and-sort at 0-nodes, add at 1-nodes.
+    On ``complement_cotree(t)`` it gives t's lambda."""
 
-
-def lambda_hat_naive(t: Cotree) -> PartitionSequence:
-    """Same traversal with the two operators swapped; conjugate to kappa."""
-    return PartitionSequence(_naive_values(t, star_label=1))
-
-
-def _naive_values(t: Cotree, star_label: int) -> list[int]:
     def internal(label: int, parts: list[list[int]], _big: int) -> list[int]:
-        if label == star_label:
+        if label == 0:
             merged: list[int] = []
             for part in parts:
                 merged += part
@@ -174,7 +163,7 @@ def _naive_values(t: Cotree, star_label: int) -> list[int]:
                 acc[i] += e
         return acc
 
-    return _fold(t, lambda v: [1], internal)
+    return PartitionSequence(_fold(t, lambda v: [1], internal))
 
 
 def _kappa_rule(n: int):
@@ -269,11 +258,9 @@ def _kappa_entry(runs: list[int] | None, j: int, n: int) -> int:
     return 0
 
 
-def _kappa_above(runs: list[int] | None, k: int, n: int) -> int:
+def _kappa_above(runs: list[int], k: int, n: int) -> int:
     """How many entries of the kappa that ``_kappa_rule(n)`` left as ``runs``
-    (None at a leaf) exceed k."""
-    if runs is None:
-        return 0 if k else 1
+    at an internal node exceed k."""
     m = n + 1
     total = 0
     for run in runs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import random
@@ -17,6 +18,7 @@ from klcograph import (
     build_cotree,
     check_cotree,
     complement,
+    cotree_from_text,
     disjoint_union,
     join,
     random_cotree,
@@ -338,6 +340,47 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
         )
         out.append(Graph.from_edges(n, edges))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple[tuple, ...]:
+    """Every series-reduced rooted tree with n leaves, up to isomorphism: a
+    leaf is (), an internal node the tuple of its two or more children's
+    shapes.  The children are listed in the non-increasing order of their
+    (leaf count, index in ``_shapes`` of that count), so each multiset of
+    children is made once."""
+    if n == 1:
+        return ((),)
+    out = []
+    stack = [(n, (n - 1, len(_shapes(n - 1)) - 1), ())]  # (leaves left, last key, kids)
+    while stack:
+        left, (size, index), kids = stack.pop()
+        if not left:
+            out.append(kids)
+            continue
+        for part in range(min(left, size), 0, -1):
+            top = index if part == size else len(_shapes(part)) - 1
+            stack += [
+                (left - part, (part, i), kids + (_shapes(part)[i],)) for i in range(top + 1)
+            ]
+    return tuple(out)
+
+
+def all_cotrees(n: int) -> list[Cotree]:
+    """One canonical cotree per cograph on n vertices, up to isomorphism: each
+    series-reduced shape with either root label (a lone leaf has none), and
+    the leaves numbered left to right.  Their counts are OEIS A000084."""
+
+    def text(shape: tuple, label: int) -> str:
+        if not shape:
+            return "{}"
+        return f"{label}(" + ",".join(text(kid, 1 - label) for kid in shape) + ")"
+
+    return [
+        cotree_from_text(text(shape, label).format(*range(n)))
+        for shape in _shapes(n)
+        for label in ((0, 1) if shape else (0,))
+    ]
 
 
 def _timed(fn, tree):

@@ -27,7 +27,7 @@ from klcograph import (
 )
 from klcograph.sequences import PartitionSequence
 
-from helpers import complete_graph, cotrees, l_copies_of_k_clique
+from helpers import complete_graph, cotrees, l_copies_of_k_clique, path_graph
 
 
 def test_certificate_size_enforced():
@@ -72,6 +72,8 @@ def test_failure_reason_codes():
     assert box_cograph_failure(g, lopsided) == "kappa-not-constant"
     good = BoxCertificate(frozenset(range(4)), 2, 2)
     assert box_cograph_failure(g, good) is None
+    # a P4's four vertices claimed as a 2 x 2 box
+    assert box_cograph_failure(path_graph(4), good) == "not-a-cograph"
 
 
 def test_certify_returns_colouring_or_certificate_exhaustively():

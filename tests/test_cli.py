@@ -19,12 +19,12 @@ from klcograph import (
     P4Witness,
     build_cotree,
     complement,
+    complement_cotree,
     evaluate_cotree,
     is_kl_colourable,
     kappa_hat,
     kappa_hat_naive,
     kappa_hat_oracle,
-    lambda_hat_naive,
     parse_edge_list,
     parse_graph6,
     random_cotree,
@@ -137,9 +137,9 @@ def test_sequence_text_matches_naive_references(capsys, tmp_path):
     for i, g in enumerate(_random_cographs(31, 20, 30)):
         path = _write_edges(tmp_path, f"g{i}.txt", g)
         t = build_cotree(g)
-        for command, reference in (("kappa", kappa_hat_naive), ("lambda", lambda_hat_naive)):
+        for command, tree in (("kappa", t), ("lambda", complement_cotree(t))):
             code, out, _ = run(capsys, command, path)
-            assert (code, out) == (0, reference(t).to_text() + "\n")
+            assert (code, out) == (0, kappa_hat_naive(tree).to_text() + "\n")
 
 
 def test_kappa_oracle_handles_non_cograph(capsys, p4_file):

@@ -25,7 +25,6 @@ from klcograph import (
     kappa_hat,
     kappa_hat_naive,
     lambda_hat,
-    lambda_hat_naive,
     parse_edge_list,
     random_cotree,
     validate_ferrers_against_cotree,
@@ -77,6 +76,7 @@ def test_p4_detected_with_valid_witness():
     assert isinstance(w, P4Witness)
     assert w.holds_in(path_graph(4))
     assert w.vertices() == (0, 1, 2, 3)
+    assert not P4Witness(0, 1, 2, 0).holds_in(path_graph(4))  # a repeated vertex
 
 
 def test_build_cotree_finds_a_p4_on_cycles():
@@ -438,7 +438,7 @@ def test_folded_walks_at_depth():
         text = cotree_to_text(t)
         assert cotree_to_text(complement_cotree(complement_cotree(t))) == text
         assert kappa_hat_naive(t) == kappa_hat(t)
-        assert lambda_hat_naive(t) == lambda_hat(t)
+        assert kappa_hat_naive(complement_cotree(t)) == lambda_hat(t)
         assert validate_ferrers_against_cotree(t, build_ferrers(t))
 
 

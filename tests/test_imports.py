@@ -4,6 +4,7 @@ import ast
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import klcograph
 
@@ -236,3 +237,71 @@ def test_the_command_line_imports_no_network_stack():
         capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"
+
+
+# The package's public names, modules aside, one a line: a name added or
+# removed shows as one line of this literal.
+PUBLIC_NAMES = [
+    "BoxCertificate",
+    "BudgetExceededError",
+    "Cotree",
+    "CotreeNode",
+    "FerrersRepresentation",
+    "Graph",
+    "GraphFormatError",
+    "KLColouring",
+    "OracleBudget",
+    "P4Witness",
+    "PartitionSequence",
+    "bichromatic_number",
+    "box_cograph_dimension",
+    "box_cograph_failure",
+    "build_cotree",
+    "build_ferrers",
+    "build_ferrers_naive",
+    "certify_non_colourable",
+    "check_cotree",
+    "cochromatic_number",
+    "complement",
+    "complement_cotree",
+    "conjugate",
+    "cotree_from_json",
+    "cotree_from_text",
+    "cotree_to_json",
+    "cotree_to_text",
+    "deep_alternating_cotree",
+    "disjoint_union",
+    "entrywise_add",
+    "evaluate_cotree",
+    "induced_subgraph",
+    "is_kl_colourable",
+    "is_kl_colourable_exhaustive",
+    "join",
+    "kappa_at",
+    "kappa_hat",
+    "kappa_hat_naive",
+    "kappa_hat_oracle",
+    "lambda_hat",
+    "lambda_hat_oracle",
+    "parse_edge_list",
+    "parse_graph6",
+    "random_cotree",
+    "read_colouring",
+    "read_obstruction",
+    "render_ascii",
+    "render_svg",
+    "star_merge",
+    "validate_colouring",
+    "validate_ferrers",
+    "validate_ferrers_against_cotree",
+    "verify_box_cograph",
+]
+
+
+def test_public_names_are_pinned():
+    found = sorted(
+        name
+        for name in dir(klcograph)
+        if not name.startswith("_") and not isinstance(getattr(klcograph, name), ModuleType)
+    )
+    assert found == PUBLIC_NAMES

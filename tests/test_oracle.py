@@ -208,6 +208,8 @@ def test_kappa_oracle_monotone_in_l():
 
 
 def test_budget_enforced():
+    with pytest.raises(ValueError, match="max_vertices must be at least 1"):
+        OracleBudget(max_vertices=0)
     with pytest.raises(BudgetExceededError):
         kappa_hat_oracle(empty_graph(13), OracleBudget(max_vertices=12))
     with pytest.raises(BudgetExceededError):
@@ -274,6 +276,7 @@ def test_box_cograph_base_and_closure():
 def test_box_cograph_non_members():
     assert box_cograph_dimension(path_graph(4)) is None  # not even a cograph
     assert box_cograph_dimension(path_graph(3)) is None
+    assert box_cograph_dimension(empty_graph(0)) is None  # no vertex, no box
     # K2 union K1: union parts have different chromatic numbers
     assert box_cograph_dimension(disjoint_union(complete_graph(2), complete_graph(1))) is None
 
