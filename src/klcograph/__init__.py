@@ -52,7 +52,6 @@ from .oracle import (
     box_cograph_dimension,
     is_kl_colourable_exhaustive,
     kappa_hat_oracle,
-    lambda_hat_oracle,
 )
 from .sequences import (
     KLColouring,

@@ -35,17 +35,17 @@ from .ferrers import (
 )
 from .generate import deep_alternating_cotree, random_cotree
 from .graphs import Graph, parse_edge_list, parse_graph6
-from .oracle import DEFAULT_BUDGET, OracleBudget, kappa_hat_oracle, lambda_hat_oracle
+from .oracle import DEFAULT_BUDGET, OracleBudget, kappa_hat_oracle
 from .sequences import (
     KLColouring,
     PartitionSequence,
     bichromatic_number,
     cochromatic_number,
+    conjugate,
     is_kl_colourable,
     kappa_at,
     kappa_hat,
     kappa_hat_naive,
-    lambda_hat,
 )
 
 EXIT_OK = 0
@@ -94,13 +94,15 @@ def _need_cotree(g: Graph) -> Cotree:
     return built
 
 
-def _sequence(args: argparse.Namespace, g: Graph, oracle, engine) -> PartitionSequence:
-    """The step kappa, lambda and params share: by the oracle, or off the cotree."""
+def _kappa(args: argparse.Namespace, g: Graph) -> PartitionSequence:
+    """The step kappa, lambda and params share: g's kappa sequence, by the
+    oracle or off the cotree.  lambda prints its conjugate, which is the
+    lambda sequence of every graph, and params reads chi and theta off it."""
     if args.oracle:
-        return oracle(g, OracleBudget(args.budget or DEFAULT_BUDGET.max_vertices))
+        return kappa_hat_oracle(g, OracleBudget(args.budget or DEFAULT_BUDGET.max_vertices))
     if not g.n:
         return PartitionSequence()
-    return engine(_need_cotree(g))
+    return kappa_hat(_need_cotree(g))
 
 
 def _colouring(args: argparse.Namespace, g: Graph, t: Cotree) -> KLColouring:
@@ -115,10 +117,6 @@ def _colouring(args: argparse.Namespace, g: Graph, t: Cotree) -> KLColouring:
 def cmd_recognize(args: argparse.Namespace, g: Graph) -> str:
     t = _need_cotree(g)
     return cotree_to_json(t) if args.json else cotree_to_text(t)
-
-
-def _cmd_sequence(args: argparse.Namespace, g: Graph, oracle, engine) -> str:
-    return _sequence(args, g, oracle, engine).to_text()
 
 
 def cmd_check(args: argparse.Namespace, g: Graph) -> str:
@@ -152,7 +150,7 @@ def cmd_ferrers(args: argparse.Namespace, g: Graph) -> str:
 
 
 def cmd_params(args: argparse.Namespace, g: Graph) -> str:
-    seq = _sequence(args, g, kappa_hat_oracle, kappa_hat)
+    seq = _kappa(args, g)
     return json.dumps(
         {
             "chi": kappa_at(seq, 0),
@@ -230,16 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the cotree as JSON")
     p.set_defaults(fn=cmd_recognize)
 
-    for name, oracle, engine in (
-        ("kappa", kappa_hat_oracle, kappa_hat),
-        ("lambda", lambda_hat_oracle, lambda_hat),
+    for name, fn in (
+        ("kappa", lambda args, g: _kappa(args, g).to_text()),
+        ("lambda", lambda args, g: conjugate(_kappa(args, g)).to_text()),
     ):
         p = sub.add_parser(name, help=f"print the {name} sequence")
         add_input(p)
         add_oracle(p, "brute force; works on non-cographs within the budget")
-        p.set_defaults(
-            fn=functools.partial(_cmd_sequence, oracle=oracle, engine=engine)
-        )
+        p.set_defaults(fn=fn)
 
     for name, about, fn in (
         ("check", "decide (k,l)-colourability", cmd_check),

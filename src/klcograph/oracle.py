@@ -7,19 +7,17 @@ from those of the masks left once a maximal independent set or a maximal
 clique through its lowest vertex is removed (Lawler 1976), enumerated once
 per mask by Bron-Kerbosch seeded at that vertex, on an explicit stack: each
 side's elementwise minimum, which ends with its shortest sequence since
-entries past a sequence's end are 0.  Built on the complement's masks, the
-same engine gives the clique cover number and lambda, since a
-(k,l)-colouring of G is by definition an (l,k)-colouring of its complement.
-kappa_hat_oracle and lambda_hat_oracle together take a median of 0.07 ms at
-n = 4, 0.38 ms at n = 8 and 2.8 ms at n = 12 on G(n, p) with p in
-0.25..0.75 (Python 3.11, 2-core VM).
+entries past a sequence's end are 0.  Lambda is kappa's conjugate, as the
+paper proves for every graph, so no second engine runs on the complement.
 Box-cograph membership follows the recursive definition, except that a
 disconnected graph is a member iff its components are members with one
 chromatic number: by induction on their number, since a disjoint union's
 chromatic number is its parts' largest.  A set connected in one graph is
-split in the other, so each set is searched at most once on each side, and
-needs no memo.  Results are exact; exceeding the vertex budget is an error,
-never an approximation.
+split in the other, so each set is searched at most once on each side.  A
+part's chromatic number in the complement is its clique cover number theta,
+the length of its kappa sequence, so both sides share one engine and its
+memo.  Results are exact; exceeding the vertex budget is an error, never an
+approximation.
 """
 
 from __future__ import annotations
@@ -97,7 +95,6 @@ class _Engine:
     kappa sequence up to the first 0, filled once per mask."""
 
     def __init__(self, adj: list[int], co: list[int]) -> None:
-        self.n = len(adj)
         self.adj = adj
         self.co = co
         self._seqs: dict[int, tuple[int, ...]] = {0: ()}
@@ -132,32 +129,23 @@ class _Engine:
         return seqs[0] if len(seqs) == 1 else tuple(map(min, *seqs))
 
 
-def _engines(g: Graph, budget: OracleBudget) -> tuple[_Engine, _Engine]:
-    """The engine of g and the engine of its complement."""
+def _engine(g: Graph, budget: OracleBudget) -> _Engine:
     if g.n > budget.max_vertices:
         raise BudgetExceededError(
             f"graph has {g.n} vertices, budget allows {budget.max_vertices}"
         )
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
-    co = [full & ~m & ~(1 << v) for v, m in enumerate(adj)]
-    return _Engine(adj, co), _Engine(co, adj)
+    return _Engine(adj, [full & ~m & ~(1 << v) for v, m in enumerate(adj)])
 
 
 def kappa_hat_oracle(
     g: Graph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> PartitionSequence:
     """Kappa sequence: chi is ``kappa_at(s, 0)``, kappa_l is ``kappa_at(s, l)``
-    and (k,l)-colourability is ``is_kl_colourable(s, k, l)``."""
-    return PartitionSequence(_engines(g, budget)[0].seq((1 << g.n) - 1))
-
-
-def lambda_hat_oracle(
-    g: Graph, budget: OracleBudget = DEFAULT_BUDGET
-) -> PartitionSequence:
-    """Lambda sequence: by definition lambda_k(G) = kappa_k(complement of G),
-    so this is the kappa engine run on the complement's masks."""
-    return PartitionSequence(_engines(g, budget)[1].seq((1 << g.n) - 1))
+    and (k,l)-colourability is ``is_kl_colourable(s, k, l)``.  The lambda
+    sequence is ``conjugate(s)``."""
+    return PartitionSequence(_engine(g, budget).seq((1 << g.n) - 1))
 
 
 def is_kl_colourable_exhaustive(g: Graph, k: int, l: int) -> bool:
@@ -227,8 +215,11 @@ def box_cograph_dimension(
     """
     if g.n == 0:
         return None
-    engs = _engines(g, budget)
+    eng = _engine(g, budget)
     full = (1 << g.n) - 1
+    # a part's chromatic number in g, and in g's complement: the length of
+    # its kappa sequence, theta, is the least l with a (0,l)-colouring
+    sides = ((eng.adj, lambda c: eng.seq(c)[0]), (eng.co, lambda c: len(eng.seq(c))))
 
     def member(side: int, mask: int) -> bool:
         # side 0 tests the induced subgraph of g, side 1 that of its
@@ -236,13 +227,14 @@ def box_cograph_dimension(
         if mask & (mask - 1) == 0:
             return True  # single vertex
         for side in (side, 1 - side):
-            eng = engs[side]
-            comps = _components_mask(eng.adj, mask)
+            adj, chi = sides[side]
+            comps = _components_mask(adj, mask)
             if len(comps) > 1:
-                chi = eng.seq(comps[0])[0]
-                return all(eng.seq(c)[0] == chi and member(side, c) for c in comps)
+                first = chi(comps[0])
+                return all(chi(c) == first and member(side, c) for c in comps)
         return False  # connected in both: contains a P4
 
     if not member(0, full):
         return None
-    return (engs[0].seq(full)[0], engs[1].seq(full)[0])
+    kappa = eng.seq(full)
+    return (kappa[0], len(kappa))

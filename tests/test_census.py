@@ -1,16 +1,28 @@
-"""Every cograph up to a few vertices, one canonical cotree per isomorphism class."""
+"""Every cograph up to a few vertices, one canonical cotree per isomorphism
+class, and every graph up to six vertices, one per isomorphism class."""
 
 from klcograph import (
+    BoxCertificate,
+    Cotree,
     box_cograph_dimension,
+    build_cotree,
+    certify_non_colourable,
+    complement,
     complement_cotree,
     conjugate,
     cotree_to_text,
     evaluate_cotree,
+    induced_subgraph,
+    is_kl_colourable,
+    kappa_at,
     kappa_hat,
     kappa_hat_naive,
+    kappa_hat_oracle,
+    validate_colouring,
+    verify_box_cograph,
 )
 
-from helpers import all_cotrees
+from helpers import all_cotrees, nonisomorphic_graphs
 
 
 def test_enumerator_counts_every_cograph():
@@ -34,3 +46,63 @@ def test_sequences_and_box_membership_on_every_cograph_up_to_nine_vertices():
             assert box_cograph_dimension(evaluate_cotree(t)) == box, text
             checked += 1
     assert checked == 2341
+
+
+def test_conjugacy_and_vertex_sum_on_every_graph_up_to_six_vertices():
+    # lambda is kappa's conjugate on every graph, and kappa sums to n on
+    # every cograph; among the non-cographs the sum is n for some, so it is
+    # no test for cographs, and above n for a few, such as C5's (3, 2, 1)
+    sums = {}  # n -> (non-cographs, sum equal to n, sum above n)
+    for n in range(1, 7):
+        graphs = nonisomorphic_graphs(n)
+        others = equal = above = 0
+        for g in graphs:
+            kappa = kappa_hat_oracle(g)
+            assert conjugate(kappa) == kappa_hat_oracle(complement(g)), list(g.edges())
+            if isinstance(build_cotree(g), Cotree):
+                assert sum(kappa) == n, list(g.edges())
+                continue
+            others += 1
+            equal += sum(kappa) == n
+            above += sum(kappa) > n
+        sums[n] = (others, equal, above)
+    assert sums == {1: (0, 0, 0), 2: (0, 0, 0), 3: (0, 0, 0), 4: (1, 0, 0),
+                    5: (10, 5, 1), 6: (90, 52, 2)}
+
+
+def _kappa_without(g, v):
+    """The kappa sequence of g less the vertex v, off its cotree."""
+    rest = induced_subgraph(g, [u for u in range(g.n) if u != v])
+    return kappa_hat(build_cotree(rest)) if rest.n else ()
+
+
+def test_minimal_obstructions_are_the_boxes_and_certify_on_every_cograph_up_to_eight():
+    # the paper's obstruction theorem: a cograph that is not
+    # (k,l)-colourable, but is once any vertex goes, is a (k+1) x (l+1) box;
+    # and certify answers every (k, l) with a witness that checks out
+    minimal, boxes, answers = set(), set(), 0
+    for n in range(1, 9):
+        for t in all_cotrees(n):
+            g = evaluate_cotree(t)
+            text = cotree_to_text(t)
+            kappa = kappa_hat(t)
+            dimension = box_cograph_dimension(g)
+            if dimension is not None:
+                boxes.add((text, *dimension))
+            less = [_kappa_without(g, v) for v in range(n)]
+            for l in range(len(kappa)):
+                k = kappa[l] - 1
+                if all(kappa_at(s, l) <= k for s in less):
+                    minimal.add((text, k + 1, l + 1))
+            for k in range(kappa[0] + 1):
+                for l in range(len(kappa) + 1):
+                    got = certify_non_colourable(t, k, l)
+                    if isinstance(got, BoxCertificate):
+                        assert not is_kl_colourable(kappa, k, l), (text, k, l)
+                        assert (got.k, got.l) == (k + 1, l + 1), (text, k, l)
+                        assert verify_box_cograph(g, got), (text, k, l)
+                    else:
+                        assert validate_colouring(g, got, k, l), (text, k, l)
+                    answers += 1
+    assert minimal == boxes
+    assert (len(minimal), answers) == (33, 17508)

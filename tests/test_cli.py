@@ -158,6 +158,11 @@ def test_lambda_oracle_on_non_cographs(capsys, tmp_path):
     for name, g, expected in (("c5", cycle_graph(5), "3,2,1"), ("ex7", EXAMPLE_7, "3,2,2")):
         code, out, err = run(capsys, "lambda", _write_edges(tmp_path, f"{name}.txt", g), "--oracle")
         assert (code, out, err) == (0, expected + "\n", "")
+    # lambda is by definition kappa of the complement; the CLI prints kappa's conjugate
+    for name, g in (("c5", cycle_graph(5)), ("p4", path_graph(4))):
+        expected = kappa_hat_oracle(complement(g)).to_text()
+        code, out, err = run(capsys, "lambda", _write_edges(tmp_path, f"{name}.txt", g), "--oracle")
+        assert (code, out, err) == (0, expected + "\n", "")
 
 
 def test_oracle_budget_flag_exits_two(capsys, tmp_path, k3_file, p4_file):

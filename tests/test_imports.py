@@ -282,7 +282,6 @@ PUBLIC_NAMES = [
     "kappa_hat_naive",
     "kappa_hat_oracle",
     "lambda_hat",
-    "lambda_hat_oracle",
     "parse_edge_list",
     "parse_graph6",
     "random_cotree",

@@ -19,7 +19,6 @@ from klcograph import (
     kappa_at,
     kappa_hat,
     kappa_hat_oracle,
-    lambda_hat_oracle,
     oracle,
     random_cotree,
 )
@@ -47,7 +46,7 @@ def test_chromatic_number_small_cases():
 
 def test_kappa_oracle_worked_example():
     assert kappa_hat_oracle(EXAMPLE_7) == (3, 3, 1)
-    assert lambda_hat_oracle(EXAMPLE_7) == (3, 2, 2)
+    assert kappa_hat_oracle(complement(EXAMPLE_7)) == (3, 2, 2)
 
 
 def test_kappa_sum_differs_from_n_outside_cographs():
@@ -67,7 +66,7 @@ def test_conjugacy_on_random_general_graphs():
     rng = random.Random(21)
     for _ in range(60):
         g = random_graph(rng.randint(1, 7), rng.random(), rng)
-        assert conjugate(kappa_hat_oracle(g)) == lambda_hat_oracle(g)
+        assert conjugate(kappa_hat_oracle(g)) == kappa_hat_oracle(complement(g))
 
 
 def test_lambda_oracle_matches_exhaustive_partition_search():
@@ -75,7 +74,7 @@ def test_lambda_oracle_matches_exhaustive_partition_search():
     rng = random.Random(26)
     for _ in range(60):
         g = random_graph(rng.randint(1, 7), rng.random(), rng)
-        seq = lambda_hat_oracle(g)
+        seq = kappa_hat_oracle(complement(g))
         for k in range(len(seq) + 1):
             least = next(l for l in range(g.n + 1) if is_kl_colourable_exhaustive(g, k, l))
             assert least == kappa_at(seq, k)
@@ -107,7 +106,7 @@ def test_maximal_cliques_match_brute_force():
     graphs = [random_graph(rng.randint(1, 8), rng.random(), rng) for _ in range(24)]
     graphs += [empty_graph(8), complete_graph(8), cycle_graph(7)]
     for g in graphs:
-        eng = oracle._engines(g, oracle.DEFAULT_BUDGET)[0]
+        eng = oracle._engine(g, oracle.DEFAULT_BUDGET)
         for side in (eng.adj, eng.co):
             for mask in range(1, 1 << g.n):
                 got = oracle._maximal_cliques(side, mask)
@@ -122,18 +121,18 @@ def test_oracle_at_the_sizes_the_cli_serves():
     for n in range(9, 13):
         for p in densities + densities:
             g = random_graph(n, p, rng)
-            assert conjugate(kappa_hat_oracle(g)) == lambda_hat_oracle(g)
+            assert conjugate(kappa_hat_oracle(g)) == kappa_hat_oracle(complement(g))
     # and the second route at its limit of 8 vertices: entry k is the least l
     for p in densities:
         g = random_graph(8, p, rng)
-        seq = lambda_hat_oracle(g)
+        seq = kappa_hat_oracle(complement(g))
         for k in range(len(seq) + 1):
             least = kappa_at(seq, k)
             assert is_kl_colourable_exhaustive(g, k, least)
             assert least == 0 or not is_kl_colourable_exhaustive(g, k, least - 1)
 
 
-# kappa_hat_oracle and lambda_hat_oracle of G(n, p), n = 9..12, drawn in this
+# kappa_hat_oracle of G(n, p) and of its complement, n = 9..12, drawn in this
 # order from random.Random(29) with the densities below, each n in turn
 _PINNED_AT_CLI_SIZES = [
     ((2, 2, 1, 1, 1, 1, 1), (7, 2)),
@@ -171,7 +170,7 @@ def test_oracle_pinned_on_non_cographs_at_the_cli_sizes():
         for n in range(9, 13)
         for p in (0.25, 0.35, 0.45, 0.55, 0.65, 0.75)
     ]
-    got = [(kappa_hat_oracle(g), lambda_hat_oracle(g)) for g in graphs]
+    got = [(kappa_hat_oracle(g), kappa_hat_oracle(complement(g))) for g in graphs]
     assert got == _PINNED_AT_CLI_SIZES
 
 
@@ -219,7 +218,8 @@ def test_budget_enforced():
     seq = kappa_hat_oracle(empty_graph(13), budget)
     assert kappa_at(seq, 0) == 1
     assert seq == PartitionSequence.constant(1, 13)
-    assert lambda_hat_oracle(complete_graph(13), budget) == PartitionSequence.constant(1, 13)
+    lam = kappa_hat_oracle(complement(complete_graph(13)), budget)
+    assert lam == PartitionSequence.constant(1, 13)
 
 
 def test_exhaustive_search_allocates_at_most_n_parts():
