@@ -14,10 +14,12 @@ from klcograph import (
     evaluate_cotree,
     induced_subgraph,
     is_kl_colourable,
+    is_kl_colourable_exhaustive,
     kappa_at,
     kappa_hat,
     kappa_hat_naive,
     kappa_hat_oracle,
+    oracle,
     validate_colouring,
     verify_box_cograph,
 )
@@ -68,6 +70,28 @@ def test_conjugacy_and_vertex_sum_on_every_graph_up_to_six_vertices():
         sums[n] = (others, equal, above)
     assert sums == {1: (0, 0, 0), 2: (0, 0, 0), 3: (0, 0, 0), 4: (1, 0, 0),
                     5: (10, 5, 1), 6: (90, 52, 2)}
+
+
+def test_oracle_on_every_mask_of_every_graph_up_to_five_vertices():
+    # the engine's small masks are read off their edge counts, and larger
+    # ones are searched: both against the raw search over part assignments,
+    # where entry l is the least k with a (k,l)-colouring, up to the first 0
+    checked = 0
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            for mask in range(1, 1 << n):
+                h = induced_subgraph(g, [v for v in range(n) if mask >> v & 1])
+                want = []
+                while True:
+                    l = len(want)
+                    least = next(k for k in range(h.n + 1) if is_kl_colourable_exhaustive(h, k, l))
+                    if least == 0:
+                        break
+                    want.append(least)
+                got = oracle._engine(g, oracle.DEFAULT_BUDGET).seq(mask)
+                assert got == tuple(want), (list(g.edges()), mask)
+                checked += 1
+    assert checked == 1 + 2 * 3 + 4 * 7 + 11 * 15 + 34 * 31
 
 
 def _kappa_without(g, v):

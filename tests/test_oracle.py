@@ -114,6 +114,37 @@ def test_maximal_cliques_match_brute_force():
                 assert sorted(got) == sorted(_brute_maximal_cliques(side, mask)), (list(g.edges()), mask)
 
 
+def test_small_masks_are_never_enumerated(monkeypatch):
+    # a mask of at most three vertices is read off its edge count
+    rng = random.Random(31)
+    graphs = [random_graph(n, p, rng) for n in range(4, 13) for p in (0.25, 0.5, 0.75)]
+    want = [(kappa_hat_oracle(g), box_cograph_dimension(g)) for g in graphs]
+    enumerate_cliques = oracle._maximal_cliques
+    sizes = []
+
+    def counted(adj, mask):
+        sizes.append(mask.bit_count())
+        return enumerate_cliques(adj, mask)
+
+    monkeypatch.setattr(oracle, "_maximal_cliques", counted)
+    assert [(kappa_hat_oracle(g), box_cograph_dimension(g)) for g in graphs] == want
+    assert sizes and min(sizes) >= 4
+
+
+def test_maximal_cliques_on_a_complete_multipartite_graph():
+    # K_{3,3,3,3}, beyond the brute-force sweep: a clique through vertex 0
+    # takes one vertex from each other part, and its independent set is its part
+    g = Graph.from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12) if u // 3 != v // 3])
+    eng = oracle._engine(g, oracle.DEFAULT_BUDGET)
+    full = (1 << 12) - 1
+    cliques = oracle._maximal_cliques(eng.adj, full)
+    assert len(set(cliques)) == len(cliques) == 27
+    assert sorted(cliques) == sorted(_brute_maximal_cliques(eng.adj, full))
+    assert oracle._maximal_cliques(eng.co, full) == [0b111]
+    assert kappa_hat_oracle(g) == kappa_hat(build_cotree(g)) == (4, 4, 4)
+    assert box_cograph_dimension(g) == (4, 3)
+
+
 def test_oracle_at_the_sizes_the_cli_serves():
     # the CLI runs the oracle up to its default budget of 12 vertices
     rng = random.Random(28)
