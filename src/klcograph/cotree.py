@@ -1,21 +1,27 @@
 """Cograph recognition, cotrees and P4 witnesses.
 
 Construction splits each vertex set into the connected components of the
-graph (0-nodes) or of its complement (1-nodes); one search, with two set
-operations swapped for the complement, finds both.  The parts of a 0-node are
+graph (0-nodes) or of its complement (1-nodes).  The parts of a 0-node are
 connected and those of a 1-node co-connected, so below the root each set
-needs one search only.  A search on a set S costs O(|S|^2) set-element
-operations, so recognition is O(n^2) per cotree level and O(n^3) in the worst
-case.  Measured (Python 3.11, 2 cores), the time grows about as n^2, that is
-as the edge count: 3.3-4.2x per doubling of n on the deep alternating family
-(n = 500..2000, 0.3 s at n = 2000) and 3.3-3.6x on random cotrees (n =
-1000..4000); on edgeless graphs it grows 2.1-2.3x.  A set that does not split
-induces a P4, which is read off it in O(|S|^2).  Linear-time recognition is
-not implemented.
+needs one split only.  Degrees settle most splits: a vertex isolated in its
+set, or universal in it, is a part of its own, found in a degree bucket, and
+one vertex of the other kind proves that the vertices left are one part.
+Only what remains is searched, with one search that serves the graph and its
+complement by swapping two set operations.  A search on a set S costs
+O(|S|^2) set-element operations, so recognition is O(n^2) per cotree level
+that needs one and O(n^3) in the worst case.  Measured (Python 3.11, 2
+cores), the deep alternating family, which splits one vertex off per level
+and needs no search, takes 0.9-1.0, 1.8-2.0 and 3.9-4.1 ms at n = 512, 1024
+and 2048, 2x per doubling; random cotrees take 3.7-3.9, 12.3-12.6 and 39-42
+ms, 3.2x per doubling, about as the edge count; 2^20 isolated vertices take
+0.3 s.  A set that does not split induces a P4, which is read off it in
+O(|S|^2).  Linear-time recognition (Corneil, Perl and Stewart, 1985) is not
+implemented.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 import json
@@ -292,52 +298,106 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
     Children at every node are sorted by (leaf count, smallest descendant
     vertex id) so the output is deterministic.  Every part of a 0-node is
     connected and every part of a 1-node is co-connected, so below the root
-    one search per vertex set decides it: a child of a 0-node is split into
+    one split per vertex set decides it: a child of a 0-node is split into
     co-components, a child of a 1-node into components, and a set that does
     not split is prime.  The root tries components first.  The walk meets
     the nodes in preorder and writes each into the lists once its children
     are written.
+
+    Degrees do most of the splitting.  Each set S carries an offset ``off``
+    such that |N(v) & S| = deg(v) - off for every v in S.  It is 0 at the
+    root.  A child of a 0-node keeps its parent's, since no edge leaves a
+    component within S; a child C of a 1-node gets off + |S| - |C|, since
+    each of its vertices sees all of S - C.  So the vertices isolated in
+    G[S], when S is split into components, or universal in G[S], when it is
+    split into co-components, are S's share of the degree bucket of off, or
+    of off + |S| - 1, and each is a part of one vertex.  Removing them leaves
+    the rest R, with the offset off, or off plus the count of universal
+    vertices removed.  A vertex of R of the other kind, universal in G[R]
+    when splitting into components or isolated in G[R] when splitting into
+    co-components, makes R one part: a universal vertex connects G[R], an
+    isolated one its complement.  Only otherwise is R searched.  At the root
+    a universal vertex and no isolated one prove g connected, so its
+    component search is skipped; below the root a set split into components
+    is co-connected and has no universal vertex.
+
+    The parts are the components of G[S], or of its complement, that one
+    search of S finds, so the lists are those of a search per set, and a
+    prime set, which has neither kind of vertex, is searched whole and gives
+    the same P4.  Each part of R has two or more vertices, as each vertex of
+    R has a neighbour (or, in the complement, a non-neighbour) in R, so the
+    removed vertices are the first children and are written at once.  The
+    parts of R are ordered by size, and by their smallest vertex only where
+    sizes tie, so no part is scanned for its minimum just to be sorted.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise ValueError("cotree construction requires at least one vertex")
+    if n == 1:
+        return Cotree._of([0], [0], [0], 1, g.labels)
+    buckets: dict[int, set[int]] = {}  # degree -> its vertices
+    for v, d in enumerate(map(len, g.adj)):
+        bucket = buckets.get(d)
+        if bucket is None:
+            buckets[d] = {v}
+        else:
+            bucket.add(v)
+    nobody: frozenset[int] = frozenset()
     codes: list[int] = []
     counts: list[int] = []
     bigs: list[int] = []
-    # stack entries: (vertex set, node labels still to try; label 1 searches
-    # the complement), or (None, (code, count, big)) of a node to write
-    stack: list[tuple] = [(set(range(g.n)), (0, 1))]
+    # stack entries: (vertex set of two or more, its offset, node labels still
+    # to try; label 1 splits the complement), or (None, 0, (code, count, big))
+    # of a node to write
+    root_labels = (0, 1) if 0 in buckets or n - 1 not in buckets else (1,)
+    stack: list[tuple] = [(set(range(n)), 0, root_labels)]
     while stack:
-        vertices, labels = stack.pop()
+        vertices, off, labels = stack.pop()
         if vertices is None:
             code, count, big = labels
             codes.append(code)
             counts.append(count)
             bigs.append(big)
             continue
-        if len(vertices) == 1:
-            codes.append(next(iter(vertices)))
-            counts.append(0)
-            bigs.append(0)
-            continue
+        size = len(vertices)
         for label in labels:
-            parts = _components(g, vertices, label)
-            if len(parts) > 1:
+            # the parts of one vertex, and the degree in g of a vertex of the
+            # other kind in R
+            if label:
+                single = buckets.get(off + size - 1, nobody) & vertices
+                other = off + len(single)
+            else:
+                single = buckets.get(off, nobody) & vertices
+                other = off + size - len(single) - 1
+            vertices -= single
+            if not vertices:  # R is empty or has two or more vertices
+                parts = []
+            elif buckets.get(other, nobody).isdisjoint(vertices):
+                parts = _components(g, vertices, label)
+            else:
+                parts = [vertices]
+            if single or len(parts) > 1:
                 break
         else:
             witness = _p4_in_module(g, vertices)
             if not witness.holds_in(g):
                 raise RuntimeError("P4 witness does not hold in the graph")
             return witness
-        parts.sort(key=lambda p: (len(p), min(p)), reverse=True)
-        # reversed pushes keep child order: the children run from the last
-        # part, so the first largest child is the last part as large as parts[0]
-        tied = 1
-        while tied < len(parts) and len(parts[tied]) == len(parts[0]):
-            tied += 1
-        stack.append((None, (~label, len(parts), len(parts) - tied)))
+        ones = sorted(single)
+        codes += ones
+        counts += [0] * len(ones)
+        bigs += [0] * len(ones)
+        big = len(ones) if parts else 0
+        if len(parts) > 1:
+            ties = Counter(map(len, parts))
+            parts.sort(key=lambda p: (len(p), ties[len(p)] > 1 and min(p)))
+            # the first largest child is the first part as large as the last
+            big += len(parts) - ties[len(parts[-1])]
+        stack.append((None, 0, (~label, len(ones) + len(parts), big)))
         below = (1 - label,)
-        stack.extend([(part, below) for part in parts])
-    return Cotree._of(codes, counts, bigs, g.n, g.labels)
+        parts.reverse()  # the first child is popped first
+        stack.extend([(part, off + label * (size - len(part)), below) for part in parts])
+    return Cotree._of(codes, counts, bigs, n, g.labels)
 
 
 def _p4_in_module(g: Graph, s: set[int]) -> P4Witness:

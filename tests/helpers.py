@@ -23,6 +23,7 @@ from klcograph import (
     join,
     random_cotree,
 )
+from klcograph import cotree
 
 
 def postorder(root: CotreeNode) -> list[CotreeNode]:
@@ -217,6 +218,52 @@ def random_cotree_reference(
     counts.reverse()
     bigs.reverse()
     return Cotree._of(codes, counts, bigs, n)
+
+
+def build_cotree_reference(g: Graph) -> Cotree | cotree.P4Witness:
+    """The recognizer as it was before it read parts off degree buckets, one
+    component search per vertex set: the reference for ``build_cotree``,
+    which must return the same lists, or the same P4."""
+    if g.n == 0:
+        raise ValueError("cotree construction requires at least one vertex")
+    codes: list[int] = []
+    counts: list[int] = []
+    bigs: list[int] = []
+    # stack entries: (vertex set, node labels still to try; label 1 searches
+    # the complement), or (None, (code, count, big)) of a node to write
+    stack: list[tuple] = [(set(range(g.n)), (0, 1))]
+    while stack:
+        vertices, labels = stack.pop()
+        if vertices is None:
+            code, count, big = labels
+            codes.append(code)
+            counts.append(count)
+            bigs.append(big)
+            continue
+        if len(vertices) == 1:
+            codes.append(next(iter(vertices)))
+            counts.append(0)
+            bigs.append(0)
+            continue
+        for label in labels:
+            parts = cotree._components(g, vertices, label)
+            if len(parts) > 1:
+                break
+        else:
+            witness = cotree._p4_in_module(g, vertices)
+            if not witness.holds_in(g):
+                raise RuntimeError("P4 witness does not hold in the graph")
+            return witness
+        parts.sort(key=lambda p: (len(p), min(p)), reverse=True)
+        # reversed pushes keep child order: the children run from the last
+        # part, so the first largest child is the last part as large as parts[0]
+        tied = 1
+        while tied < len(parts) and len(parts[tied]) == len(parts[0]):
+            tied += 1
+        stack.append((None, (~label, len(parts), len(parts) - tied)))
+        below = (1 - label,)
+        stack.extend([(part, below) for part in parts])
+    return Cotree._of(codes, counts, bigs, g.n, g.labels)
 
 
 def subcotree(root: CotreeNode, vertices) -> Cotree:

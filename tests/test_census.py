@@ -23,6 +23,7 @@ from klcograph import (
     validate_colouring,
     verify_box_cograph,
 )
+from klcograph.cotree import _fold
 
 from helpers import all_cotrees, nonisomorphic_graphs
 
@@ -46,6 +47,27 @@ def test_sequences_and_box_membership_on_every_cograph_up_to_nine_vertices():
             assert conjugate(kappa) == kappa_hat_naive(complement_cotree(t)), text
             box = (kappa[0], len(kappa)) if kappa[0] == kappa[-1] else None
             assert box_cograph_dimension(evaluate_cotree(t)) == box, text
+            checked += 1
+    assert checked == 2341
+
+
+def _sorted_text(t):
+    """t's text with each node's children in ascending (leaf count, smallest
+    leaf) order, the order recognition gives them."""
+
+    def internal(label, kids, _big):
+        kids.sort()  # (leaf count, smallest leaf, text): no two kids tie on both
+        text = f"{label}(" + ",".join(kid[2] for kid in kids) + ")"
+        return sum(kid[0] for kid in kids), kids[0][1], text
+
+    return _fold(t, lambda v: (1, v, str(v)), internal)[2]
+
+
+def test_recognition_gives_every_cograph_up_to_nine_vertices_its_cotree():
+    checked = 0
+    for n in range(1, 10):
+        for t in all_cotrees(n):
+            assert cotree_to_text(build_cotree(evaluate_cotree(t))) == _sorted_text(t)
             checked += 1
     assert checked == 2341
 

@@ -29,16 +29,20 @@ from klcograph import (
     random_cotree,
     validate_ferrers_against_cotree,
 )
+from klcograph import cotree
 from klcograph.cotree import _components
 
 from helpers import (
     _doubling_ratio,
+    build_cotree_reference,
     complete_graph,
     cycle_graph,
     empty_graph,
     flip_pair,
     has_induced_p4,
     has_induced_p4_through,
+    l_copies_of_k_clique,
+    nonisomorphic_graphs,
     path_graph,
     postorder,
     random_cotree_reference,
@@ -184,6 +188,67 @@ def test_recognition_output_is_pinned():
         )
         assert flipped == pair
         assert build_cotree(g).vertices() == p4
+
+
+def _lists_or_p4(out):
+    return out.vertices() if isinstance(out, P4Witness) else (out.codes, out.counts, out.bigs)
+
+
+def test_build_cotree_matches_the_one_search_per_set_reference():
+    # Every part that the degree buckets give is one the reference's search
+    # finds, so the lists, and the P4 of a prime set, are the same.
+    rng = random.Random(33)
+    graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(n, rng.random(), rng) for n in range(9, 61)]
+    for n in (2, 3, 7, 30, 64, 150, 300):
+        bases = [random_cotree(n, rng, max_children) for max_children in (2, 3, 5, 16)]
+        bases += [deep_alternating_cotree(n, top) for top in (0, 1)]
+        for base in bases:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = evaluate_cotree(base).edges()
+            g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+            graphs.append(g)
+            for flips in range(1, 4):
+                h = g
+                for _ in range(flips):
+                    h = flip_pair(h, *rng.sample(range(n), 2))
+                graphs.append(h)
+    graphs += [Graph(g.n, tuple(set(a) for a in g.adj)) for g in graphs[::5]]
+    cographs = 0
+    for g in graphs:
+        out = _lists_or_p4(build_cotree(g))
+        assert out == _lists_or_p4(build_cotree_reference(g)), list(g.edges())
+        cographs += isinstance(out[0], list)
+    assert (len(graphs), cographs) == (514, 235)
+
+
+def test_degree_buckets_leave_few_component_searches(monkeypatch):
+    # A vertex isolated or universal in its set is a part of its own, and one
+    # of the other kind proves the rest one part, so the deep family, and
+    # edgeless and complete graphs, are split with no search at all.
+    calls = []
+
+    def counted(g, vertices, co=0):
+        calls.append(len(vertices))
+        return _components(g, vertices, co)
+
+    deep = [deep_alternating_cotree(n, top) for n in (2, 3, 64, 512) for top in (0, 1)]
+    graphs = [evaluate_cotree(t) for t in deep] + [empty_graph(50), complete_graph(50)]
+    graphs.append(complement(l_copies_of_k_clique(3, 2)))  # K_{2,2,2}
+    graphs += [evaluate_cotree(random_cotree(200, seed)) for seed in (0, 1, 2)]
+    wants = [_lists_or_p4(build_cotree(g)) for g in graphs]
+    monkeypatch.setattr(cotree, "_components", counted)
+    searches = []
+    for g, want in zip(graphs, wants):
+        calls.clear()
+        assert _lists_or_p4(build_cotree(g)) == want
+        searches.append(len(calls))
+    # K_{2,2,2}: two searches at its root, the first finding it connected,
+    # and each co-component is a pair of isolated vertices.  The random
+    # cotrees split the rest of their 127, 133 and 134 internal nodes off
+    # degree buckets.
+    assert searches == [0] * 10 + [2, 37, 42, 43]
 
 
 def _reference_components(g, s):
