@@ -9,7 +9,6 @@ from .certificate import (
     BoxCertificate,
     box_cograph_failure,
     certify_non_colourable,
-    read_obstruction,
     verify_box_cograph,
 )
 from .cotree import (
@@ -30,6 +29,7 @@ from .ferrers import (
     build_ferrers,
     build_ferrers_naive,
     read_colouring,
+    read_obstruction,
     render_ascii,
     render_svg,
     validate_ferrers,

@@ -7,9 +7,9 @@ calculus alone: one fold of ``kappa_hat``'s rule that keeps each node's
 children's runs, then one top-down walk that gives each child its share of
 the parts or of the box.  A non-big child's share is one query on its runs,
 which the fold left intact; the big child gets what is left, which the
-parent's own answer makes enough.  ``read_obstruction`` reads the box off
-the Ferrers diagram instead (the top k cells of its leftmost l columns), as
-the paper does; it is tested on its own.
+parent's own answer makes enough.  ``ferrers.read_obstruction`` reads the
+box off the Ferrers diagram instead (the top k cells of its leftmost l
+columns), as the paper does; it is tested on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from .cotree import Cotree, P4Witness, _descend, _fold, build_cotree
-from .ferrers import FerrersRepresentation, _tall_columns
 from .graphs import Graph, VertexSet, induced_subgraph
 from .sequences import (
     KLColouring,
@@ -53,14 +52,6 @@ class BoxCertificate:
             raise ValueError(
                 f"certificate has {len(self.vertices)} vertices, expected {self.k * self.l}"
             )
-
-
-def read_obstruction(f: FerrersRepresentation, k: int, l: int) -> BoxCertificate:
-    """Top (k+1) cells of the leftmost (l+1) tall columns certify failure."""
-    if _tall_columns(f, k, l) <= l:
-        raise ValueError(f"graph is ({k},{l})-colourable: no obstruction")
-    vertices = frozenset(v for row in f.rows[: k + 1] for v in row[: l + 1])
-    return BoxCertificate(vertices, k + 1, l + 1)
 
 
 def box_cograph_failure(g: Graph, cert: BoxCertificate) -> str | None:

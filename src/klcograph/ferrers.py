@@ -18,8 +18,10 @@ together join the first of the lines that add up.
 node, is the reference: the two produce the same grid cell for cell, since
 concatenation order is the children's order and sorting by size is stable.
 Both builders and the tree-driven validator are per-node rules that the
-cotree module's one bottom-up fold walks.  Colourings are read off the rows
-of the diagram.
+cotree module's one bottom-up fold walks.  As in the paper,
+``read_colouring`` reads a colouring off the rows and columns of the diagram
+and ``read_obstruction`` an induced box off its top-left corner; certify
+finds both answers without the diagram.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, takewhile
+from itertools import chain
 
+from .certificate import BoxCertificate
 from .cotree import Cotree, _fold
 from .graphs import Graph, is_clique, is_independent_set
 from .sequences import KLColouring, PartitionSequence, _check_natural, lambda_hat
@@ -211,10 +214,9 @@ def build_ferrers(t: Cotree) -> FerrersRepresentation:
 
 def validate_ferrers(g: Graph, f: FerrersRepresentation) -> bool:
     """Shape is a staircase, rows are independent, columns induce cliques."""
-    lengths = [len(r) for r in f.rows]
-    if any(
-        lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)
-    ) or any(x < 1 for x in lengths):
+    try:
+        f.shape  # raises unless the row lengths are positive and non-increasing
+    except ValueError:
         return False
     seen: list[int] = [v for row in f.rows for v in row]
     if sorted(seen) != list(range(g.n)):
@@ -281,13 +283,17 @@ def read_colouring(f: FerrersRepresentation, k: int, l: int) -> KLColouring:
         raise ValueError(
             f"not ({k},{l})-colourable: {tall} columns are taller than {k}"
         )
-    rows = f.rows
-    independent = tuple(frozenset(row[tall:]) for row in rows[:k] if len(row) > tall)
-    cliques = tuple(
-        frozenset(row[j] for row in takewhile(lambda row: len(row) > j, rows))
-        for j in range(tall)
-    )
+    independent = tuple(frozenset(row[tall:]) for row in f.rows[:k] if len(row) > tall)
+    cliques = tuple(map(frozenset, f.columns[:tall]))
     return KLColouring(independent, cliques)
+
+
+def read_obstruction(f: FerrersRepresentation, k: int, l: int) -> BoxCertificate:
+    """Top (k+1) cells of the leftmost (l+1) tall columns certify failure."""
+    if _tall_columns(f, k, l) <= l:
+        raise ValueError(f"graph is ({k},{l})-colourable: no obstruction")
+    vertices = frozenset(v for row in f.rows[: k + 1] for v in row[: l + 1])
+    return BoxCertificate(vertices, k + 1, l + 1)
 
 
 # --- rendering -------------------------------------------------------------

@@ -78,6 +78,8 @@ class Graph:
         labels: Iterable[str] | None = None,
     ) -> "Graph":
         """Build a graph from an edge iterable; duplicate edges collapse."""
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         nbrs: list = [_NO_NEIGHBOURS] * n  # a set once a vertex is in an edge
         for u, v in edges:
             if u == v:
@@ -92,8 +94,6 @@ class Graph:
             if b is _NO_NEIGHBOURS:
                 b = nbrs[v] = set()
             b.add(u)
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
         names = None if labels is None else tuple(labels)
         if names is not None and len(names) != n:
             raise ValueError("labels length does not match vertex count")
@@ -311,13 +311,9 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 def join(g: Graph, h: Graph) -> Graph:
-    u = disjoint_union(g, h)
-    left = frozenset(range(g.n))
-    right = frozenset(range(g.n, g.n + h.n))
-    adj = tuple(
-        (u.adj[v] | right) if v < g.n else (u.adj[v] | left) for v in range(u.n)
-    )
-    return Graph._trusted(u.n, adj, u.labels)
+    """Every vertex of g joined to every vertex of h: the complement of the
+    disjoint union of the two complements."""
+    return complement(disjoint_union(complement(g), complement(h)))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:

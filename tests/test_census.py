@@ -30,8 +30,8 @@ from helpers import all_cotrees, nonisomorphic_graphs
 
 def test_enumerator_counts_every_cograph():
     # OEIS A000084: the cographs on n unlabelled vertices
-    counts = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
-    assert [len(all_cotrees(n)) for n in range(1, 11)] == counts
+    counts = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624, 14136, 43930]
+    assert [len(all_cotrees(n)) for n in range(1, 13)] == counts
 
 
 def test_sequences_and_box_membership_on_every_cograph_up_to_nine_vertices():

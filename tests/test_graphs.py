@@ -50,6 +50,7 @@ def test_public_constructor_still_checks():
         (2, [(1, 1)], None, "self-loop"),
         (2, [(0, 2)], None, "out of range"),
         (-1, [], None, "non-negative"),
+        (-1, [(0, 1)], None, "non-negative"),
         (2, [(0, 1)], ["a"], "labels length"),
     ):
         with pytest.raises(ValueError, match=message):

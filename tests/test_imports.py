@@ -134,16 +134,86 @@ def test_node_layout_stays_in_the_cotree_module():
     assert not found, "cotree layout read outside cotree.py: " + ", ".join(found)
 
 
+def _package_imports(tree):
+    """(module, name) for each name that a module takes from a package
+    module, the module given as in a relative import ("" for the package)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "klcograph":
+                    yield a.name.removeprefix("klcograph").lstrip("."), None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "klcograph":
+                    continue  # the standard library
+                module = module.removeprefix("klcograph").lstrip(".")
+            for a in node.names:
+                yield module, a.name
+
+
 def test_certify_builds_no_ferrers_diagram():
     # certify answers from one kappa fold and one descent; a call of the
-    # diagram's builder or of its colouring reader would bring it back
+    # diagram's builder or of its colouring reader, or any import from the
+    # diagram's module, would bring it back
     found = [
         f"{where} {callee}"
         for callee in ("build_ferrers", "read_colouring")
         for where in _calls(callee, set())
         if where.startswith("certificate.py:")
     ]
+    found += [
+        f"certificate.py: from .{module} import {name}"
+        for module, name in _package_imports(dict(_sources())["certificate.py"])
+        if "ferrers" in (module, name)
+    ]
     assert not found, "the Ferrers diagram in certificate.py: " + ", ".join(found)
+
+
+# The private names that a package module takes from another package module,
+# as "importer: module.name", and the private attributes that it reads off a
+# class imported from another package module, as "importer: Class.name".  A
+# new reach into another module's internals shows as one line of this
+# literal.
+CROSS_MODULE_PRIVATE = [
+    "certificate.py: cotree._descend",
+    "certificate.py: cotree._fold",
+    "certificate.py: sequences._check_natural",
+    "certificate.py: sequences._kappa_above",
+    "certificate.py: sequences._kappa_entry",
+    "certificate.py: sequences._kappa_rule",
+    "certificate.py: sequences._leaf",
+    "ferrers.py: cotree._fold",
+    "ferrers.py: sequences._check_natural",
+    "generate.py: Cotree._of",
+    "oracle.py: sequences._check_natural",
+    "sequences.py: cotree._fold",
+]
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_cross_module_private_names_are_pinned():
+    found = set()
+    for name, tree in _sources():
+        imported = set()  # the names taken from other package modules
+        for module, taken in _package_imports(tree):
+            if taken is None:
+                continue
+            imported.add(taken)
+            if _private(taken):
+                found.add(f"{name}: {module}.{taken}")
+        found |= {
+            f"{name}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+            and _private(node.attr)
+        }
+    assert sorted(found) == CROSS_MODULE_PRIVATE
 
 
 # The definitions that may write a node's size: the node's own
