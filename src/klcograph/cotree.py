@@ -21,7 +21,7 @@ implemented.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 import json
@@ -327,8 +327,7 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
     the same P4.  Each part of R has two or more vertices, as each vertex of
     R has a neighbour (or, in the complement, a non-neighbour) in R, so the
     removed vertices are the first children and are written at once.  The
-    parts of R are ordered by size, and by their smallest vertex only where
-    sizes tie, so no part is scanned for its minimum just to be sorted.
+    parts of R follow them, sorted by the same key.
     """
     n = g.n
     if n == 0:
@@ -388,10 +387,9 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
         bigs += [0] * len(ones)
         big = len(ones) if parts else 0
         if len(parts) > 1:
-            ties = Counter(map(len, parts))
-            parts.sort(key=lambda p: (len(p), ties[len(p)] > 1 and min(p)))
+            parts.sort(key=lambda p: (len(p), min(p)))
             # the first largest child is the first part as large as the last
-            big += len(parts) - ties[len(parts[-1])]
+            big += bisect_left(parts, len(parts[-1]), key=len)
         stack.append((None, 0, (~label, len(ones) + len(parts), big)))
         below = (1 - label,)
         parts.reverse()  # the first child is popped first
@@ -724,19 +722,17 @@ _TEXT_LABEL_CODES = {"0": ~0, "1": ~1}
 
 def cotree_from_text(text: str) -> Cotree:
     """Parse the parenthesized form; leaf names must be integers."""
-    # pieces alternate token, delimiter, ..., token; pieces[i] starts at
-    # offset pos of text, so a delimiter sits at an odd index below last
+    # pieces alternate token, delimiter, ..., token, so a delimiter sits at
+    # an odd index below last
     pieces = _TEXT_DELIMITERS.split(text)
     last = len(pieces) - 1
-    i = pos = 0
+    i = 0
     codes: list[int] = []  # the lists of the nodes read so far, in postorder
     counts: list[int] = []
     open_codes: list[int] = []  # per internal node whose ')' is pending: its code
     open_counts: list[int] = []  # and its children so far
     while True:
-        raw = pieces[i]
-        token = raw.strip()
-        pos += len(raw)
+        token = pieces[i].strip()
         if i < last and pieces[i + 1] == "(":
             code = _TEXT_LABEL_CODES.get(token)
             if code is None:
@@ -744,7 +740,6 @@ def cotree_from_text(text: str) -> Cotree:
             open_codes.append(code)
             open_counts.append(1)
             i += 2
-            pos += 1
             continue  # its first child comes next
         if not token:
             raise ValueError("empty leaf name in cotree text")
@@ -752,14 +747,13 @@ def cotree_from_text(text: str) -> Cotree:
         codes.append(v if v >= 0 else v - 3)
         counts.append(0)
         # a node just ended: a ',' starts its next sibling, a ')' ends its
-        # parent, and j is the delimiter after it
+        # parent, and j is the first piece not yet read
         j = i + 1
         while open_codes and j < last and pieces[j] == ")":
             codes.append(open_codes.pop())
             counts.append(open_counts.pop())
-            pos += 1
             if pieces[j + 1]:  # text follows the ')', not a delimiter
-                j = last
+                j += 1
                 break
             j += 2
         if not open_codes:
@@ -768,8 +762,7 @@ def cotree_from_text(text: str) -> Cotree:
             raise ValueError("unbalanced parentheses in cotree text")
         open_counts[-1] += 1
         i = j + 1
-        pos += 1
-    if pos != len(text.rstrip()):
+    if "".join(pieces[j:]).strip():
         raise ValueError("trailing characters after cotree text")
     # each internal node was given a child, so the nodes with none are the leaves
     return Cotree._checked(codes, counts, counts.count(0))

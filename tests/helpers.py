@@ -170,7 +170,7 @@ def cotree_from_text_reference(text: str) -> Cotree:
         if pos >= len(text) or text[pos] != ",":
             raise ValueError("unbalanced parentheses in cotree text")
         pos += 1  # consume ','
-    if pos != len(text.rstrip()):
+    if text[pos:].strip():
         raise ValueError("trailing characters after cotree text")
     t = Cotree(root_box[0], leaves)
     check_cotree(t)

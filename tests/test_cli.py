@@ -20,6 +20,8 @@ from klcograph import (
     build_cotree,
     complement,
     complement_cotree,
+    cotree_from_text,
+    cotree_to_text,
     evaluate_cotree,
     is_kl_colourable,
     kappa_hat,
@@ -36,7 +38,14 @@ import klcograph
 from klcograph import cli
 from klcograph.cli import main
 
-from helpers import EXAMPLE_7, cycle_graph, encode_graph6, l_copies_of_k_clique, path_graph
+from helpers import (
+    EXAMPLE_7,
+    all_cotrees,
+    cycle_graph,
+    encode_graph6,
+    l_copies_of_k_clique,
+    path_graph,
+)
 
 
 def run(capsys, *argv):
@@ -63,6 +72,19 @@ def test_recognize_cograph(capsys, k3_file):
     code, out, _ = run(capsys, "recognize", k3_file)
     assert code == 0
     assert out.strip() == "1(0,1,2)"
+
+
+def test_recognize_output_reads_back(capsys, tmp_path):
+    # recognize prints the tree and a newline; the reader takes both back, a
+    # lone leaf as much as any other tree
+    for n in range(1, 7):
+        for t in all_cotrees(n):
+            assert cotree_from_text(cotree_to_text(t) + "\n") == t
+    p = tmp_path / "k1.txt"
+    p.write_text("1\n")
+    code, out, _ = run(capsys, "recognize", str(p))
+    assert (code, out) == (0, "0\n")
+    assert cotree_from_text(out) == build_cotree(parse_edge_list("1\n"))
 
 
 def test_recognize_p4_exits_one_with_witness(capsys, p4_file):

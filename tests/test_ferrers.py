@@ -7,6 +7,7 @@ from klcograph import (
     BoxCertificate,
     Cotree,
     CotreeNode,
+    FerrersRepresentation,
     Graph,
     KLColouring,
     build_cotree,
@@ -31,7 +32,7 @@ from klcograph import (
 )
 from klcograph.sequences import is_kl_colourable, kappa_at
 
-from helpers import complete_graph, l_copies_of_k_clique, wide_and_tied_cotrees
+from helpers import all_cotrees, complete_graph, l_copies_of_k_clique, wide_and_tied_cotrees
 
 
 def test_single_vertex_representation():
@@ -175,6 +176,47 @@ def test_tree_validator_rejects_each_fault():
         f = type(built)(rows)
         assert not validate_ferrers(evaluate_cotree(t), f)
         assert not validate_ferrers_against_cotree(t, f)
+
+
+def _perturbed(f):
+    """f's rows, then each swap of two cells, the first cell in a row above
+    the rest, and the rows reversed."""
+    cells = [v for row in f.rows for v in row]
+    yield f.rows
+    for i in range(len(cells)):
+        for j in range(i):
+            swapped = cells[:]
+            swapped[i], swapped[j] = cells[j], cells[i]
+            it = iter(swapped)
+            yield tuple(tuple(next(it) for _ in row) for row in f.rows)
+    yield (tuple(cells[:1]), tuple(cells[1:]))
+    yield f.rows[::-1]
+
+
+def test_the_validators_agree():
+    def node(label, *children):
+        return CotreeNode(label=label, children=list(children))
+
+    v = [CotreeNode(vertex=i) for i in range(5)]
+    # node-built trees whose inner node repeats the root's label
+    repeats = [
+        Cotree(node(a, node(a, v[0], v[1]), node(1 - a, v[2], v[3]), v[4]), 5)
+        for a in (0, 1)
+    ]
+    trees = [t for n in range(1, 8) for t in all_cotrees(n)] + repeats
+    verdicts = {True: 0, False: 0}
+    for t in trees:
+        g = evaluate_cotree(t)
+        for rows in _perturbed(build_ferrers(t)):
+            f = FerrersRepresentation(rows)
+            verdict = validate_ferrers(g, f)
+            assert validate_ferrers_against_cotree(t, f) == verdict, (t, rows)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 1000
+    # the empty diagram of the graph with no vertex
+    empty = FerrersRepresentation(())
+    assert (empty.n, empty.columns, empty.shape) == (0, (), ())
+    assert validate_ferrers(Graph.from_edges(0, []), empty)
 
 
 def test_read_colouring_valid_whenever_feasible():

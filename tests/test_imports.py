@@ -170,6 +170,19 @@ def test_certify_builds_no_ferrers_diagram():
     assert not found, "the Ferrers diagram in certificate.py: " + ", ".join(found)
 
 
+def test_the_diagram_validators_run_no_kappa_engine():
+    # a diagram's column heights are kappa once its rows are independent and
+    # its columns cliques, so ferrers.py takes only the types and the argument
+    # check from sequences.py, and the tree validator does not lean on the
+    # engines that it is used to check
+    taken = {
+        name
+        for module, name in _package_imports(dict(_sources())["ferrers.py"])
+        if module == "sequences"
+    }
+    assert taken == {"KLColouring", "PartitionSequence", "_check_natural"}
+
+
 # The private names that a package module takes from another package module,
 # as "importer: module.name", and the private attributes that it reads off a
 # class imported from another package module, as "importer: Class.name".  A
