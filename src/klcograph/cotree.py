@@ -752,7 +752,8 @@ def cotree_from_text(text: str) -> Cotree:
         while open_codes and j < last and pieces[j] == ")":
             codes.append(open_codes.pop())
             counts.append(open_counts.pop())
-            if pieces[j + 1]:  # text follows the ')', not a delimiter
+            # text follows the ')'; a whitespace-only piece counts as none
+            if pieces[j + 1] and not pieces[j + 1].isspace():
                 j += 1
                 break
             j += 2

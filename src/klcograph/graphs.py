@@ -259,9 +259,13 @@ def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string (column-major upper-triangle bit order).
 
     Every header, length and byte-range check runs before decoding, so a
-    malformed string raises ``GraphFormatError`` with no partial work.  The
-    body is then expanded to one 0/1 byte per vertex pair, and each column,
-    a vertex's lower neighbours, is one slice of it.
+    malformed string raises ``GraphFormatError`` with no partial work and
+    before anything of size n^2 is allocated.  The body is expanded to one
+    0/1 byte per vertex pair.  Column j of those bits is vertex j's lower
+    neighbours, and the n x n byte matrix whose row j is column j padded
+    with zeros holds j's upper neighbours in its column j below the
+    diagonal, one strided slice.  Each adjacency set is built in C from the
+    two, over one shared list of the n ids.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -280,18 +284,17 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(rest)} bytes, expected {(nbits + 5) // 6} for n={n}"
         )
-    # column j is the j pairs (0, j) .. (j-1, j); the padding bits past the
-    # last column are never read
-    bits = b"".join(map(_G6_BITS.__getitem__, rest))
-    nbrs: list[set[int]] = []
-    start = 0
-    for j in range(n):
-        lower = set(compress(range(j), bits[start : start + j]))
-        start += j
-        for i in lower:
-            nbrs[i].add(j)
-        nbrs.append(lower)
-    return Graph._trusted(n, tuple(map(frozenset, nbrs)))
+    # column j is the j pairs (0, j) .. (j-1, j), vertex j's lower neighbours;
+    # the padding bits past the last column are never read
+    bits = b"".join([_G6_BITS[b] for b in rest])
+    vs = list(range(n))  # one int object per vertex, shared by every set
+    cols = [bits[(j * j - j) >> 1 : (j * j + j) >> 1] for j in vs]
+    # the n x n matrix whose row j is column j padded with zeros; its column
+    # j from the diagonal down is a 0 for j itself, then j's upper neighbours
+    low = b"".join([col.ljust(n, b"\0") for col in cols])
+    diagonal = range(0, n * n, n + 1)
+    adj = [frozenset(compress(vs, col + low[d::n])) for col, d in zip(cols, diagonal)]
+    return Graph._trusted(n, tuple(adj))
 
 
 def complement(g: Graph) -> Graph:

@@ -165,6 +165,8 @@ def cotree_from_text_reference(text: str) -> Cotree:
         while open_nodes and pos < len(text) and text[pos] == ")":
             pos += 1
             open_nodes.pop()
+            while pos < len(text) and text[pos].isspace():
+                pos += 1
         if not open_nodes:
             break
         if pos >= len(text) or text[pos] != ",":

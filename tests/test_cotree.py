@@ -423,6 +423,19 @@ def test_text_and_json_round_trips():
             cotree_from_json(bad)
 
 
+def test_text_reader_takes_whitespace_after_an_inner_parenthesis():
+    t = cotree_from_text("0(1(0,1),2)")
+    for text in ("0(1(0,1) ,2)", "0(1(0,1)\n,2)", "0(1(0,1)\t\n ,2) \n"):
+        assert cotree_from_text(text) == t
+    # an indented multi-line tree reads back as the one-line text
+    t = cotree_from_text("1(0(1(0,1),2,3),0(4,5),6)")
+    indented = "1(\n  0(\n    1(0, 1)\n    ,\n    2,\n    3\n  ),\n  0(4, 5)\n  ,\n  6\n)\n"
+    assert cotree_from_text(indented) == t
+    # text after an inner ')' is still not a delimiter
+    with pytest.raises(ValueError, match="unbalanced parentheses"):
+        cotree_from_text("0(1(0,1) x,2)")
+
+
 def test_json_round_trip_keeps_the_vertex_names():
     g = parse_edge_list("0 1\n1 2\n2 3\n3 0\n4 5\n")
     t = build_cotree(induced_subgraph(g, [1, 2, 4, 5]))

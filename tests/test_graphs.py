@@ -241,12 +241,37 @@ def test_bulk_edge_list_agrees_with_the_line_loop(text):
     st.integers(0, 63),
 )
 def test_parse_graph6_agrees_with_the_bit_string_decoder(n, p, graph_seed, padding):
-    text = encode_graph6(random_graph(n, p, random.Random(graph_seed)))
-    pad = -(n * (n - 1) // 2) % 6
-    if pad:  # set some of the padding bits, which the decoders must ignore
-        last = (ord(text[-1]) - 63) | (padding & ((1 << pad) - 1))
-        text = text[:-1] + chr(last + 63)
+    text = _set_padding(encode_graph6(random_graph(n, p, random.Random(graph_seed))), n, padding)
     assert parse_graph6(text) == decode_graph6_reference(text)
+
+
+def _set_padding(text: str, n: int, mask: int = 63) -> str:
+    """The graph6 text with the padding bits of its last byte that are in
+    ``mask`` set; the decoders must ignore them."""
+    pad = -(n * (n - 1) // 2) % 6
+    if not pad:
+        return text
+    return text[:-1] + chr(((ord(text[-1]) - 63) | (mask & ((1 << pad) - 1))) + 63)
+
+
+def test_parse_graph6_at_graph_query_sizes():
+    # sizes on both sides of 256, past which CPython caches no int, and the
+    # 300-550 vertices of the benchmark's largest graphs, sparse to dense
+    rng = random.Random(20261022)
+    for n in (255, 256, 300, 547, 600):
+        for p in (0.05, 0.5, 0.95):
+            g = random_graph(n, p, rng)
+            text = _set_padding(encode_graph6(g), n)
+            decoded = parse_graph6(text)
+            assert decoded == decode_graph6_reference(text) == g
+            edges = "".join(f"{u} {v}\n" for u, v in g.edges())
+            assert decoded == parse_edge_list(f"{n}\n{edges}")
+
+
+def test_parse_graph6_shares_one_int_object_per_vertex():
+    n = 300
+    g = parse_graph6(encode_graph6(random_graph(n, 0.5, random.Random(11))))
+    assert len({id(v) for nbrs in g.adj for v in nbrs}) <= n
 
 
 def test_parse_graph6_known_strings():
