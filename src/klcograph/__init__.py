@@ -7,8 +7,10 @@ exhaustive oracle for small graphs.
 
 from .certificate import (
     BoxCertificate,
+    KLColouring,
     box_cograph_failure,
     certify_non_colourable,
+    validate_colouring,
     verify_box_cograph,
 )
 from .cotree import (
@@ -28,8 +30,6 @@ from .ferrers import (
     FerrersRepresentation,
     build_ferrers,
     build_ferrers_naive,
-    read_colouring,
-    read_obstruction,
     render_ascii,
     render_svg,
     validate_ferrers,
@@ -54,7 +54,6 @@ from .oracle import (
     kappa_hat_oracle,
 )
 from .sequences import (
-    KLColouring,
     PartitionSequence,
     bichromatic_number,
     cochromatic_number,
@@ -66,7 +65,6 @@ from .sequences import (
     kappa_hat_naive,
     lambda_hat,
     star_merge,
-    validate_colouring,
 )
 
 __version__ = "0.1.0"

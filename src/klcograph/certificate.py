@@ -1,15 +1,16 @@
-"""Induced box-cograph obstructions, and the answer to a (k,l) query.
+"""The two witnesses of a (k,l) query, their checks, and their one producer.
 
 A cograph fails to be (k-1,l-1)-colourable exactly when it contains an
-induced box cograph of dimension k times l.  ``certify_non_colourable``
-finds either certificate, an explicit colouring or a box, from the kappa
+induced box cograph of dimension k times l.  A yes is a ``KLColouring``,
+which ``validate_colouring`` checks part by part against the graph; a no is
+a ``BoxCertificate``, which ``verify_box_cograph`` checks by recognizing the
+induced subgraph and comparing its reference kappa with the constant
+sequence.  ``certify_non_colourable`` finds either witness from the kappa
 calculus alone: one fold of ``kappa_hat``'s rule that keeps each node's
 children's runs, then one top-down walk that gives each child its share of
 the parts or of the box.  A non-big child's share is one query on its runs,
 which the fold left intact; the big child gets what is left, which the
-parent's own answer makes enough.  ``ferrers.read_obstruction`` reads the
-box off the Ferrers diagram instead (the top k cells of its leftmost l
-columns), as the paper does; it is tested on its own.
+parent's own answer makes enough.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .cotree import Cotree, P4Witness, _descend, _fold, build_cotree
-from .graphs import Graph, VertexSet, induced_subgraph
+from .graphs import Graph, VertexSet, induced_subgraph, is_clique, is_independent_set
 from .sequences import (
-    KLColouring,
     PartitionSequence,
     _check_natural,
     _kappa_above,
@@ -70,6 +70,38 @@ def box_cograph_failure(g: Graph, cert: BoxCertificate) -> str | None:
 def verify_box_cograph(g: Graph, cert: BoxCertificate) -> bool:
     """True iff cert.vertices induce a box cograph of dimension k times l."""
     return box_cograph_failure(g, cert) is None
+
+
+@dataclass(frozen=True)
+class KLColouring:
+    """Partition of the vertices into independent parts and clique parts."""
+
+    independent_parts: tuple[VertexSet, ...]
+    clique_parts: tuple[VertexSet, ...]
+
+    def parts(self) -> tuple[VertexSet, ...]:
+        return self.independent_parts + self.clique_parts
+
+
+def validate_colouring(
+    g: Graph, colouring: KLColouring, k: int | None = None, l: int | None = None
+) -> bool:
+    """Check disjointness, coverage and part validity (and part counts if given)."""
+    parts = colouring.parts()
+    if sum(len(p) for p in parts) != g.n:
+        return False
+    union: set[int] = set()
+    for p in parts:
+        union |= p
+    if union != set(range(g.n)):
+        return False
+    if k is not None and len(colouring.independent_parts) > k:
+        return False
+    if l is not None and len(colouring.clique_parts) > l:
+        return False
+    return all(is_independent_set(g, p) for p in colouring.independent_parts) and all(
+        is_clique(g, p) for p in colouring.clique_parts
+    )
 
 
 def certify_non_colourable(

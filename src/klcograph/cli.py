@@ -18,7 +18,7 @@ import sys
 import time
 from typing import Sequence
 
-from .certificate import BoxCertificate, certify_non_colourable
+from .certificate import BoxCertificate, KLColouring, certify_non_colourable
 from .cotree import (
     Cotree,
     P4Witness,
@@ -37,7 +37,6 @@ from .generate import deep_alternating_cotree, random_cotree
 from .graphs import Graph, parse_edge_list, parse_graph6
 from .oracle import DEFAULT_BUDGET, OracleBudget, kappa_hat_oracle
 from .sequences import (
-    KLColouring,
     PartitionSequence,
     bichromatic_number,
     cochromatic_number,

@@ -18,10 +18,7 @@ together join the first of the lines that add up.
 node, is the reference: the two produce the same grid cell for cell, since
 concatenation order is the children's order and sorting by size is stable.
 Both builders and the tree-driven validator are per-node rules that the
-cotree module's one bottom-up fold walks.  As in the paper,
-``read_colouring`` reads a colouring off the rows and columns of the diagram
-and ``read_obstruction`` an induced box off its top-left corner; certify
-finds both answers without the diagram.
+cotree module's one bottom-up fold walks.
 """
 
 from __future__ import annotations
@@ -31,10 +28,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .certificate import BoxCertificate
 from .cotree import Cotree, _fold
 from .graphs import Graph, is_clique, is_independent_set
-from .sequences import KLColouring, PartitionSequence, _check_natural
+from .sequences import PartitionSequence
 
 
 @dataclass(frozen=True)
@@ -267,36 +263,6 @@ def validate_ferrers_against_cotree(t: Cotree, f: FerrersRepresentation) -> bool
         return rows_acc, cols_acc
 
     return _fold(t, leaf, internal) is not None
-
-
-# --- read-offs -------------------------------------------------------------
-
-
-def _tall_columns(f: FerrersRepresentation, k: int, l: int) -> int:
-    """Number of columns taller than k: the length of row k, 0 past the last
-    row.  Raise ValueError unless both colouring parameters are at least 0."""
-    _check_natural(k, l)
-    return len(f.rows[k]) if k < len(f.rows) else 0
-
-
-def read_colouring(f: FerrersRepresentation, k: int, l: int) -> KLColouring:
-    """Tall columns become clique parts, remaining row segments independent parts."""
-    tall = _tall_columns(f, k, l)
-    if tall > l:
-        raise ValueError(
-            f"not ({k},{l})-colourable: {tall} columns are taller than {k}"
-        )
-    independent = tuple(frozenset(row[tall:]) for row in f.rows[:k] if len(row) > tall)
-    cliques = tuple(map(frozenset, f.columns[:tall]))
-    return KLColouring(independent, cliques)
-
-
-def read_obstruction(f: FerrersRepresentation, k: int, l: int) -> BoxCertificate:
-    """Top (k+1) cells of the leftmost (l+1) tall columns certify failure."""
-    if _tall_columns(f, k, l) <= l:
-        raise ValueError(f"graph is ({k},{l})-colourable: no obstruction")
-    vertices = frozenset(v for row in f.rows[: k + 1] for v in row[: l + 1])
-    return BoxCertificate(vertices, k + 1, l + 1)
 
 
 # --- rendering -------------------------------------------------------------

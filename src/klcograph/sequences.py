@@ -21,12 +21,10 @@ rule walked by the cotree module's one bottom-up fold.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
 from .cotree import Cotree, _fold
-from .graphs import Graph, VertexSet, is_clique, is_independent_set
 
 
 class PartitionSequence(tuple):
@@ -281,39 +279,3 @@ def kappa_hat(t: Cotree) -> PartitionSequence:
 def lambda_hat(t: Cotree) -> PartitionSequence:
     """Lambda sequence: the conjugate of kappa, as it is for every graph."""
     return conjugate(kappa_hat(t))
-
-
-# --- explicit colourings ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KLColouring:
-    """Partition of the vertices into independent parts and clique parts."""
-
-    independent_parts: tuple[VertexSet, ...]
-    clique_parts: tuple[VertexSet, ...]
-
-    def parts(self) -> tuple[VertexSet, ...]:
-        return self.independent_parts + self.clique_parts
-
-
-def validate_colouring(
-    g: Graph, colouring: KLColouring, k: int | None = None, l: int | None = None
-) -> bool:
-    """Check disjointness, coverage and part validity (and part counts if given)."""
-    parts = colouring.parts()
-    if sum(len(p) for p in parts) != g.n:
-        return False
-    union: set[int] = set()
-    for p in parts:
-        union |= p
-    if union != set(range(g.n)):
-        return False
-    if k is not None and len(colouring.independent_parts) > k:
-        return False
-    if l is not None and len(colouring.clique_parts) > l:
-        return False
-    return all(is_independent_set(g, p) for p in colouring.independent_parts) and all(
-        is_clique(g, p) for p in colouring.clique_parts
-    )
-

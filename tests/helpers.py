@@ -12,9 +12,12 @@ import time
 from hypothesis import strategies as st
 
 from klcograph import (
+    BoxCertificate,
     Cotree,
     CotreeNode,
+    FerrersRepresentation,
     Graph,
+    KLColouring,
     build_cotree,
     check_cotree,
     complement,
@@ -287,6 +290,29 @@ def subcotree(root: CotreeNode, vertices) -> Cotree:
         else:
             built[id(x)] = kids[0] if kids else None
     return Cotree(built[id(root)], len(rank))
+
+
+def column_colouring(f: FerrersRepresentation, k: int, l: int) -> KLColouring | None:
+    """The paper's colouring off a Ferrers diagram: the columns taller than k
+    as cliques, the rest of the top k rows as independent sets; None if more
+    than l columns are taller than k."""
+    tall = [c for c in f.columns if len(c) > k]
+    if len(tall) > l:
+        return None
+    rows = [frozenset(row[len(tall):]) for row in f.rows[:k]]
+    return KLColouring(
+        tuple(r for r in rows if r), tuple(frozenset(c) for c in tall)
+    )
+
+
+def column_obstruction(f: FerrersRepresentation, k: int, l: int) -> BoxCertificate | None:
+    """The paper's obstruction off a Ferrers diagram: the top-left
+    (k+1) x (l+1) corner; None unless more than l columns are taller than k."""
+    cols = f.columns
+    if sum(1 for c in cols if len(c) > k) <= l:
+        return None
+    vertices = frozenset(v for c in cols[: l + 1] for v in c[: k + 1])
+    return BoxCertificate(vertices, k + 1, l + 1)
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

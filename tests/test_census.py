@@ -4,8 +4,10 @@ class, and every graph up to six vertices, one per isomorphism class."""
 from klcograph import (
     BoxCertificate,
     Cotree,
+    KLColouring,
     box_cograph_dimension,
     build_cotree,
+    build_ferrers,
     certify_non_colourable,
     complement,
     complement_cotree,
@@ -25,7 +27,7 @@ from klcograph import (
 )
 from klcograph.cotree import _fold
 
-from helpers import all_cotrees, nonisomorphic_graphs
+from helpers import all_cotrees, column_colouring, column_obstruction, nonisomorphic_graphs
 
 
 def test_enumerator_counts_every_cograph():
@@ -152,3 +154,32 @@ def test_minimal_obstructions_are_the_boxes_and_certify_on_every_cograph_up_to_e
                     answers += 1
     assert minimal == boxes
     assert (len(minimal), answers) == (33, 17508)
+
+
+def test_diagram_read_offs_and_certify_on_every_cograph_up_to_seven():
+    # the paper's read-offs off the built diagram: the columns taller than k
+    # and the rest of the top k rows colour G exactly when kappa says so, and
+    # otherwise the top-left (k+1) x (l+1) corner is an induced box; certify
+    # answers with a witness of the same kind
+    answers = 0
+    for n in range(1, 8):
+        for t in all_cotrees(n):
+            g = evaluate_cotree(t)
+            f = build_ferrers(t)
+            text = cotree_to_text(t)
+            kappa = kappa_hat(t)
+            for k in range(kappa[0] + 1):
+                for l in range(len(kappa) + 1):
+                    colouring = column_colouring(f, k, l)
+                    assert (colouring is not None) == is_kl_colourable(kappa, k, l), (text, k, l)
+                    got = certify_non_colourable(t, k, l)
+                    if colouring is not None:
+                        assert validate_colouring(g, colouring, k, l), (text, k, l)
+                        assert isinstance(got, KLColouring), (text, k, l)
+                    else:
+                        box = column_obstruction(f, k, l)
+                        assert (box.k, box.l) == (k + 1, l + 1), (text, k, l)
+                        assert verify_box_cograph(g, box), (text, k, l)
+                        assert isinstance(got, BoxCertificate), (text, k, l)
+                    answers += 1
+    assert answers == 5244

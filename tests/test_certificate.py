@@ -9,7 +9,6 @@ from klcograph import (
     box_cograph_dimension,
     box_cograph_failure,
     build_cotree,
-    build_ferrers,
     certify_non_colourable,
     complement_cotree,
     cotree_from_text,
@@ -21,7 +20,6 @@ from klcograph import (
     kappa_hat,
     kappa_hat_oracle,
     random_cotree,
-    read_obstruction,
     validate_colouring,
     verify_box_cograph,
 )
@@ -52,15 +50,15 @@ def test_certify_rejects_negative_parameters():
 def test_find_box_cograph_in_union_of_cliques():
     g = l_copies_of_k_clique(2, 3)
     t = build_cotree(g)
-    cert = read_obstruction(build_ferrers(t), 2, 1)
+    cert = certify_non_colourable(t, 2, 1)
+    assert isinstance(cert, BoxCertificate)
     assert cert.vertices == frozenset(range(6))
     assert verify_box_cograph(g, cert)
 
 
 def test_find_box_cograph_requires_obstruction_to_exist():
     t = build_cotree(complete_graph(3))
-    with pytest.raises(ValueError):
-        read_obstruction(build_ferrers(t), 3, 0)
+    assert not isinstance(certify_non_colourable(t, 3, 0), BoxCertificate)
 
 
 def test_failure_reason_codes():

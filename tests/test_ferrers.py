@@ -21,8 +21,6 @@ from klcograph import (
     kappa_hat_naive,
     lambda_hat,
     random_cotree,
-    read_colouring,
-    read_obstruction,
     render_ascii,
     render_svg,
     validate_colouring,
@@ -32,7 +30,14 @@ from klcograph import (
 )
 from klcograph.sequences import is_kl_colourable, kappa_at
 
-from helpers import all_cotrees, complete_graph, l_copies_of_k_clique, wide_and_tied_cotrees
+from helpers import (
+    all_cotrees,
+    column_colouring,
+    column_obstruction,
+    complete_graph,
+    l_copies_of_k_clique,
+    wide_and_tied_cotrees,
+)
 
 
 def test_single_vertex_representation():
@@ -219,97 +224,83 @@ def test_the_validators_agree():
     assert validate_ferrers(Graph.from_edges(0, []), empty)
 
 
-def test_read_colouring_valid_whenever_feasible():
-    rng = random.Random(43)
-    for _ in range(50):
-        t = random_cotree(rng.randint(1, 30), rng)
-        g = evaluate_cotree(t)
-        f = build_ferrers(t)
-        kh = kappa_hat(t)
-        for l in range(len(kh) + 1):
-            k = kappa_at(kh, l)
-            col = read_colouring(f, k, l)
-            assert validate_colouring(g, col, k, l)
-
-
-def test_read_obstruction_valid_whenever_infeasible():
-    rng = random.Random(44)
-    for _ in range(50):
-        t = random_cotree(rng.randint(2, 30), rng)
-        g = evaluate_cotree(t)
-        f = build_ferrers(t)
-        kh = kappa_hat(t)
-        for k in range(3):
-            for l in range(3):
-                if is_kl_colourable(kh, k, l):
-                    continue
-                cert = read_obstruction(f, k, l)
-                assert isinstance(cert, BoxCertificate)
-                assert verify_box_cograph(g, cert)
-
-
-def _column_colouring(f, k, l):
-    """read_colouring as first written, on f.columns."""
-    tall = [c for c in f.columns if len(c) > k]
-    if len(tall) > l:
-        return None
-    rows = [frozenset(row[len(tall):]) for row in f.rows[:k]]
-    return KLColouring(
-        tuple(r for r in rows if r), tuple(frozenset(c) for c in tall)
-    )
-
-
-def _column_obstruction(f, k, l):
-    """read_obstruction as first written, on f.columns."""
-    cols = f.columns
-    if sum(1 for c in cols if len(c) > k) <= l:
-        return None
-    vertices = frozenset(v for c in cols[: l + 1] for v in c[: k + 1])
-    return BoxCertificate(vertices, k + 1, l + 1)
-
-
-def test_read_offs_match_column_formulas():
+def _diagram_queries():
+    """(t, g, f, kappa, k, l) on the seed-47 random trees and the wide and
+    tied ones, at every k, l < 5 and at each l's least k and the k below it."""
     rng = random.Random(47)
     trees = [random_cotree(rng.randint(1, 60), rng) for _ in range(60)]
     trees += wide_and_tied_cotrees(48, 60)
     for t in trees:
+        g = evaluate_cotree(t)
         f = build_ferrers(t)
-        for k in range(5):
-            for l in range(5):
-                colouring = _column_colouring(f, k, l)
-                obstruction = _column_obstruction(f, k, l)
-                assert (colouring is None) != (obstruction is None)
-                if colouring is not None:
-                    assert read_colouring(f, k, l) == colouring
-                else:
-                    assert read_obstruction(f, k, l) == obstruction
+        kh = kappa_hat(t)
+        pairs = {(k, l) for k in range(5) for l in range(5)}
+        for l in range(len(kh) + 1):
+            k = kappa_at(kh, l)
+            pairs |= {(k, l), (max(k - 1, 0), l)}
+        for k, l in sorted(pairs):
+            yield t, g, f, kh, k, l
+
+
+def test_read_colouring_valid_whenever_feasible():
+    # the paper's colouring off the diagram: the columns taller than k and
+    # the rest of the top k rows colour G whenever G is (k,l)-colourable
+    colourings = 0
+    for t, g, f, kh, k, l in _diagram_queries():
+        if is_kl_colourable(kh, k, l):
+            colouring = column_colouring(f, k, l)
+            assert colouring is not None, (t, k, l)
+            assert validate_colouring(g, colouring, k, l), (t, k, l)
+            colourings += 1
+    assert colourings > 1000
+
+
+def test_read_obstruction_valid_whenever_infeasible():
+    # otherwise the top-left (k+1) x (l+1) corner is an induced box
+    obstructions = 0
+    for t, g, f, kh, k, l in _diagram_queries():
+        if not is_kl_colourable(kh, k, l):
+            cert = column_obstruction(f, k, l)
+            assert isinstance(cert, BoxCertificate), (t, k, l)
+            assert (cert.k, cert.l) == (k + 1, l + 1), (t, k, l)
+            assert verify_box_cograph(g, cert), (t, k, l)
+            obstructions += 1
+    assert obstructions > 1000
+
+
+def _row_read_off(f, k, l):
+    """Both read-offs off the rows, as the paper states them: row k's length
+    counts the columns taller than k."""
+    tall = len(f.rows[k]) if k < len(f.rows) else 0
+    if tall > l:
+        vertices = frozenset(v for row in f.rows[: k + 1] for v in row[: l + 1])
+        return BoxCertificate(vertices, k + 1, l + 1)
+    independent = tuple(frozenset(row[tall:]) for row in f.rows[:k] if len(row) > tall)
+    return KLColouring(independent, tuple(map(frozenset, f.columns[:tall])))
+
+
+def test_read_offs_match_column_formulas():
+    # the diagram's rows and columns give the same witness
+    for t, g, f, kh, k, l in _diagram_queries():
+        expected = column_colouring(f, k, l) or column_obstruction(f, k, l)
+        assert _row_read_off(f, k, l) == expected, (t, k, l)
 
 
 def test_preconditions_are_complementary():
-    rng = random.Random(45)
-    for _ in range(30):
-        t = random_cotree(rng.randint(1, 20), rng)
-        f = build_ferrers(t)
-        kh = kappa_hat(t)
-        for k in range(4):
-            for l in range(4):
-                if is_kl_colourable(kh, k, l):
-                    read_colouring(f, k, l)
-                    with pytest.raises(ValueError):
-                        read_obstruction(f, k, l)
-                else:
-                    read_obstruction(f, k, l)
-                    with pytest.raises(ValueError):
-                        read_colouring(f, k, l)
+    # exactly one column formula applies, the colouring exactly when kappa
+    # says G is (k,l)-colourable
+    for t, g, f, kh, k, l in _diagram_queries():
+        colouring = column_colouring(f, k, l)
+        obstruction = column_obstruction(f, k, l)
+        assert (colouring is None) != (obstruction is None), (t, k, l)
+        assert (colouring is not None) == is_kl_colourable(kh, k, l), (t, k, l)
 
 
 def test_read_offs_reject_negative_parameters():
+    # a diagram answers a (k,l) query off its shape's conjugate, kappa
     f = build_ferrers(build_cotree(l_copies_of_k_clique(2, 2)))
     kappa = conjugate(f.shape)
     for k, l in ((-1, 0), (0, -1), (-1, -1)):
-        for read in (read_colouring, read_obstruction):
-            with pytest.raises(ValueError, match="natural numbers"):
-                read(f, k, l)
         with pytest.raises(ValueError, match="k and l must be natural numbers"):
             is_kl_colourable(kappa, k, l)
 

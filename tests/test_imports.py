@@ -154,12 +154,11 @@ def _package_imports(tree):
 
 def test_certify_builds_no_ferrers_diagram():
     # certify answers from one kappa fold and one descent; a call of the
-    # diagram's builder or of its colouring reader, or any import from the
-    # diagram's module, would bring it back
+    # diagram's builder, or any import from the diagram's module, would
+    # bring it back
     found = [
-        f"{where} {callee}"
-        for callee in ("build_ferrers", "read_colouring")
-        for where in _calls(callee, set())
+        where
+        for where in _calls("build_ferrers", set())
         if where.startswith("certificate.py:")
     ]
     found += [
@@ -172,15 +171,24 @@ def test_certify_builds_no_ferrers_diagram():
 
 def test_the_diagram_validators_run_no_kappa_engine():
     # a diagram's column heights are kappa once its rows are independent and
-    # its columns cliques, so ferrers.py takes only the types and the argument
-    # check from sequences.py, and the tree validator does not lean on the
-    # engines that it is used to check
+    # its columns cliques, so ferrers.py takes only the sequence type from
+    # sequences.py, and the tree validator does not lean on the engines that
+    # it is used to check
     taken = {
         name
         for module, name in _package_imports(dict(_sources())["ferrers.py"])
         if module == "sequences"
     }
-    assert taken == {"KLColouring", "PartitionSequence", "_check_natural"}
+    assert taken == {"PartitionSequence"}
+
+
+def test_each_witness_lives_beside_its_producer():
+    # certificate.py alone produces and checks a (k,l) witness: the diagram
+    # takes nothing from it, and the sequence calculus takes no graph
+    sources = dict(_sources())
+    for importer, module in (("ferrers.py", "certificate"), ("sequences.py", "graphs")):
+        taken = [name for m, name in _package_imports(sources[importer]) if m == module]
+        assert not taken, f"{importer} imports {taken} from {module}"
 
 
 # The private names that a package module takes from another package module,
@@ -197,7 +205,6 @@ CROSS_MODULE_PRIVATE = [
     "certificate.py: sequences._kappa_rule",
     "certificate.py: sequences._leaf",
     "ferrers.py: cotree._fold",
-    "ferrers.py: sequences._check_natural",
     "generate.py: Cotree._of",
     "oracle.py: sequences._check_natural",
     "sequences.py: cotree._fold",
@@ -368,8 +375,6 @@ PUBLIC_NAMES = [
     "parse_edge_list",
     "parse_graph6",
     "random_cotree",
-    "read_colouring",
-    "read_obstruction",
     "render_ascii",
     "render_svg",
     "star_merge",

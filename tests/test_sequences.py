@@ -11,7 +11,7 @@ from klcograph import (
     PartitionSequence,
     bichromatic_number,
     build_cotree,
-    build_ferrers,
+    certify_non_colourable,
     cochromatic_number,
     complement,
     complement_cotree,
@@ -27,7 +27,6 @@ from klcograph import (
     kappa_hat_naive,
     lambda_hat,
     random_cotree,
-    read_colouring,
     star_merge,
     validate_colouring,
 )
@@ -236,7 +235,8 @@ def test_extract_colouring_valid_for_all_feasible_parameters():
         kh = kappa_hat(t)
         for l in range(len(kh) + 2):
             k = kappa_at(kh, l)
-            col = read_colouring(build_ferrers(t), k, l)
+            col = certify_non_colourable(t, k, l)
+            assert isinstance(col, KLColouring)
             assert validate_colouring(g, col, k, l)
 
 
@@ -258,5 +258,4 @@ def test_validate_colouring_rejects_each_fault():
 
 def test_extract_colouring_rejects_infeasible_parameters():
     t = build_cotree(l_copies_of_k_clique(2, 3))
-    with pytest.raises(ValueError):
-        read_colouring(build_ferrers(t), 1, 1)
+    assert not isinstance(certify_non_colourable(t, 1, 1), KLColouring)
